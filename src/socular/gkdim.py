@@ -6,8 +6,6 @@ splits the weight into congruence classes; for a fully integral weight it
 reduces to n^2 - F_b(lambda^-) (B, C) and n^2 - n - F_d(lambda^-) (D).
 """
 
-from fractions import Fraction
-
 from .errors import DomainError
 from .hollow import f_stat
 from .tableaux import rs_shape
@@ -28,6 +26,53 @@ def check_family(family: str, n: int) -> None:
         raise DomainError(f"family {family} needs n >= 2, got n={n}")
 
 
+def _ambient(family: str, n: int) -> int:
+    if family == "A":
+        return n * (n - 1) // 2
+    return n * n - (n if family == "D" else 0)
+
+
+def _class_terms(weight, family: str):
+    """Each congruence class with its statistic kind and the sequence it inserts, in formula order."""
+    if family == "A":
+        for cls in congruence_decompose(weight, "typeA").classes():
+            yield cls, "a", cls.values
+        return
+    split = congruence_decompose(weight, "bcd")
+    kind0, kind_half = _CLASS_KINDS[family]
+    if split.integral is not None:
+        yield split.integral, kind0, double(split.integral.values)
+    if split.half_integral is not None:
+        yield split.half_integral, kind_half, double(split.half_integral.values)
+    for cls in split.others:
+        yield cls, "a", tilde(cls.values)
+
+
+def _gk(weight, family: str, records: list | None = None) -> tuple[int, int]:
+    """(GK dimension, ambient dimension); with ``records``, one record per class is appended."""
+    w = tuple(weight)
+    n = len(w)
+    check_family(family, n)
+    ambient = _ambient(family, n)
+    penalty = 0
+    for cls, kind, seq in _class_terms(w, family):
+        sh = rs_shape(seq)
+        value = f_stat(sh, kind)
+        penalty += value
+        if records is not None:
+            records.append(
+                {
+                    "positions": list(cls.positions),
+                    "entries": [str(v) for v in cls.values],
+                    "sequence": [str(v) for v in seq],
+                    "shape": list(sh),
+                    "kind": kind,
+                    "f": value,
+                }
+            )
+    return ambient - penalty, ambient
+
+
 def gk_breakdown(weight, family: str) -> dict:
     """GK dimension plus the per-congruence-class contributions.
 
@@ -35,62 +80,11 @@ def gk_breakdown(weight, family: str) -> dict:
     whose insertion tableau is used, that tableau's shape, the statistic kind,
     and the subtracted amount.
     """
-    w = tuple(Fraction(v) for v in weight)
-    n = len(w)
-    check_family(family, n)
-    records = []
-
-    def record(cls, kind: str, seq) -> int:
-        sh = rs_shape(tuple(seq))
-        value = f_stat(sh, kind)
-        records.append(
-            {
-                "positions": list(cls.positions),
-                "entries": [str(v) for v in cls.values],
-                "sequence": [str(v) for v in seq],
-                "shape": list(sh),
-                "kind": kind,
-                "f": value,
-            }
-        )
-        return value
-
-    if family == "A":
-        split = congruence_decompose(w, "typeA")
-        ambient = n * (n - 1) // 2
-        penalty = sum(record(c, "a", c.values) for c in split.classes())
-    else:
-        split = congruence_decompose(w, "bcd")
-        ambient = n * n - (n if family == "D" else 0)
-        kind0, kind_half = _CLASS_KINDS[family]
-        penalty = 0
-        if split.integral is not None:
-            penalty += record(split.integral, kind0, double(split.integral.values))
-        if split.half_integral is not None:
-            penalty += record(split.half_integral, kind_half, double(split.half_integral.values))
-        for cls in split.others:
-            penalty += record(cls, "a", tilde(cls.values))
-    return {"gkdim": ambient - penalty, "ambient": ambient, "classes": records}
+    records: list[dict] = []
+    gk, ambient = _gk(weight, family, records)
+    return {"gkdim": gk, "ambient": ambient, "classes": records}
 
 
 def gk_dimension(weight, family: str) -> int:
     """GK dimension of L(lambda) for lambda = ``weight`` in the given family."""
-    w = tuple(Fraction(v) for v in weight)
-    n = len(w)
-    check_family(family, n)
-    if family == "A":
-        split = congruence_decompose(w, "typeA")
-        return n * (n - 1) // 2 - sum(
-            f_stat(rs_shape(c.values), "a") for c in split.classes()
-        )
-    split = congruence_decompose(w, "bcd")
-    kind0, kind_half = _CLASS_KINDS[family]
-    penalty = 0
-    if split.integral is not None:
-        penalty += f_stat(rs_shape(double(split.integral.values)), kind0)
-    if split.half_integral is not None:
-        penalty += f_stat(rs_shape(double(split.half_integral.values)), kind_half)
-    for cls in split.others:
-        penalty += f_stat(rs_shape(tilde(cls.values)), "a")
-    base = n * n - (n if family == "D" else 0)
-    return base - penalty
+    return _gk(weight, family)[0]

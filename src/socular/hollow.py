@@ -9,7 +9,7 @@ from functools import lru_cache
 
 from .errors import DomainError
 from .partitions import Partition, as_partition, transpose
-from .tableaux import rs_shape
+from .tableaux import CACHE_SIZE, rs_shape
 
 PARITIES = ("odd", "even")
 
@@ -57,7 +57,7 @@ def hollow(p, parity: str) -> HollowShape:
     return _hollow(as_partition(p), parity)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _hollow(p: Partition, parity: str) -> HollowShape:
     bit = 1 if parity == "odd" else 0
     return frozenset(

@@ -6,11 +6,12 @@ enumerating integral weights.  They exist to be obviously correct.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 from .errors import DomainError, IntegrityError
-from .gkdim import gk_dimension
-from .hollow import hollow
+from .gkdim import check_family, gk_dimension
+from .hollow import f_stat, hollow
 from .parabolic import ParabolicSetup, dim_nilradical, is_p_dominant, is_socular, parabolic_from_roots
 from .partitions import (
     ORBIT_FAMILIES,
@@ -21,6 +22,7 @@ from .partitions import (
     is_special,
     partitions_of,
 )
+from .tableaux import rs_tableau, shape
 from .transforms import h_algorithm, is_domino_type
 
 
@@ -100,6 +102,54 @@ def restricted_transform_oracle(p, family: str) -> Partition:
     return _unique_min(specials, context)
 
 
+def _frac(v) -> Fraction:
+    f = Fraction(v)
+    return f - (f.numerator // f.denominator)
+
+
+def _class_key(v, grouping: str) -> Fraction:
+    f = _frac(v)
+    if grouping == "typeA":
+        return f
+    # difference-or-sum congruence: fractional parts f and 1-f merge
+    g = (1 - f) % 1
+    return min(f, g)
+
+
+def gk_dimension_oracle(weight, family: str) -> int:
+    """GK dimension by the paper's formula, on ``Fraction`` entries throughout.
+
+    Classes are keyed by fractional part and every tableau is built in full,
+    uncached: the reference for the integer keys and numerator insertion of
+    :func:`gk_dimension`.
+    """
+    w = tuple(Fraction(v) for v in weight)
+    n = len(w)
+    check_family(family, n)
+    grouping = "typeA" if family == "A" else "bcd"
+    classes: dict[Fraction, list[Fraction]] = {}
+    for v in w:
+        classes.setdefault(_class_key(v, grouping), []).append(v)
+
+    def penalty(seq, kind: str) -> int:
+        return f_stat(shape(rs_tableau(seq)), kind)
+
+    if family == "A":
+        return n * (n - 1) // 2 - sum(penalty(vals, "a") for vals in classes.values())
+    # integral classes give F_b for B and C, F_d for D; half-integral ones F_d for C and D
+    kinds = {Fraction(0): "d" if family == "D" else "b", Fraction(1, 2): "b" if family == "B" else "d"}
+    total = 0
+    for key, vals in classes.items():
+        if key in kinds:
+            total += penalty(vals + [-v for v in reversed(vals)], kinds[key])
+        else:
+            lead = _frac(vals[0])
+            same = [v for v in vals if _frac(v) == lead]
+            rest = [-v for v in reversed(vals) if _frac(v) != lead]
+            total += penalty(same + rest, "a")
+    return n * n - (n if family == "D" else 0) - total
+
+
 def integral_weights(n: int, window: tuple[int, int]):
     """All integer weights of length ``n`` with entries in the closed window."""
     lo, hi = window
@@ -108,21 +158,27 @@ def integral_weights(n: int, window: tuple[int, int]):
     return product(range(lo, hi + 1), repeat=n)
 
 
-def socular_enumeration(setup: ParabolicSetup, budget: EnumerationBudget):
-    """Maximum GK dimension over windowed integral p-dominant weights, with witnesses."""
+def _dominant_weights(setup: ParabolicSetup, budget: EnumerationBudget) -> list[tuple[int, ...]]:
     if setup.n > budget.max_n:
         raise DomainError(f"rank {setup.n} exceeds budget max_n={budget.max_n}")
+    return [w for w in integral_weights(setup.n, budget.entry_window) if is_p_dominant(w, setup)]
+
+
+def _gk_maximum(weights, family: str) -> tuple[int, list[tuple[int, ...]]]:
     best = -1
     attaining: list[tuple[int, ...]] = []
-    for w in integral_weights(setup.n, budget.entry_window):
-        if not is_p_dominant(w, setup):
-            continue
-        g = gk_dimension(w, setup.family)
+    for w in weights:
+        g = gk_dimension(w, family)
         if g > best:
             best, attaining = g, [w]
         elif g == best:
             attaining.append(w)
     return best, attaining
+
+
+def socular_enumeration(setup: ParabolicSetup, budget: EnumerationBudget):
+    """Maximum GK dimension over windowed integral p-dominant weights, with witnesses."""
+    return _gk_maximum(_dominant_weights(setup, budget), setup.family)
 
 
 def _all_setups(family: str, max_n: int):
@@ -166,19 +222,24 @@ def check_halg(budget: EnumerationBudget) -> list[str]:
 
 
 def check_socular(budget: EnumerationBudget, families=("A", "B", "C", "D")) -> list[str]:
-    """For every setup: max GK equals dim(u) and the attaining weights are the socular ones."""
+    """For every setup: max GK equals dim(u) and the attaining weights are the socular ones.
+
+    A setup whose window holds no p-dominant weight has nothing to compare and
+    is skipped.
+    """
     failures = []
     for family in families:
         for setup in _all_setups(family, budget.max_n):
-            best, attaining = socular_enumeration(setup, budget)
+            dominant = _dominant_weights(setup, budget)
+            if not dominant:
+                continue
+            best, attaining = _gk_maximum(dominant, family)
             du = dim_nilradical(setup)
             if best != du:
                 failures.append(f"{setup}: max GK {best} != dim u {du}")
                 continue
             attain_set = set(attaining)
-            for w in integral_weights(setup.n, budget.entry_window):
-                if not is_p_dominant(w, setup):
-                    continue
+            for w in dominant:
                 cert = is_socular(w, setup)
                 if cert.verdict != (w in attain_set):
                     failures.append(

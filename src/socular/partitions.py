@@ -168,14 +168,30 @@ def expand(p: Iterable[int], family: str) -> Partition:
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of ``n`` in descending lexicographic order."""
+    """All partitions of ``n`` with parts at most ``max_part``, in descending lexicographic order."""
     if n < 0:
         raise DomainError("cannot partition a negative integer")
+    if max_part is None or max_part > n:
+        max_part = n
     if n == 0:
         yield ()
         return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
+    if max_part < 1:
+        return
+    q, r = divmod(n, max_part)
+    parts = [max_part] * q + ([r] if r else [])
+    while True:
+        yield tuple(parts)
+        # the successor lowers the last part above 1 by one and refills the
+        # freed boxes greedily with parts no larger than the lowered one
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return
+        top = parts.pop() - 1
+        q, r = divmod(ones + 1, top)
+        parts += [top] * (q + 1)
+        if r:
+            parts.append(r)

@@ -21,7 +21,8 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not _ENTRY_RE.match(text):
         raise DomainError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den or 1))
 
 
 def parse_weight(text: str) -> Weight:
@@ -46,18 +47,14 @@ def double(weight, side: str = "back") -> tuple:
     raise DomainError(f"side must be 'back' or 'front', got {side!r}")
 
 
-def _frac(v) -> Fraction:
-    f = Fraction(v)
-    return f - (f.numerator // f.denominator)
+def _as_fraction(v) -> Fraction:
+    return v if type(v) is Fraction else Fraction(v)
 
 
-def _class_key(v, grouping: str) -> Fraction:
-    f = _frac(v)
-    if grouping == "typeA":
-        return f
-    # difference-or-sum congruence: fractional parts f and 1-f merge
-    g = (1 - f) % 1
-    return min(f, g)
+def _residue(f: Fraction) -> tuple[int, int]:
+    """The fractional part of ``f`` as the integer pair (numerator mod d, d)."""
+    d = f.denominator
+    return f.numerator % d, d
 
 
 @dataclass(frozen=True)
@@ -93,10 +90,14 @@ def congruence_decompose(weight, grouping: str) -> CongruenceSplit:
     """
     if grouping not in ("typeA", "bcd"):
         raise DomainError(f"grouping must be 'typeA' or 'bcd', got {grouping!r}")
-    w = tuple(Fraction(v) for v in weight)
-    buckets: dict[Fraction, list[int]] = {}
+    w = tuple(map(_as_fraction, weight))
+    buckets: dict[tuple[int, int], list[int]] = {}
     for i, v in enumerate(w):
-        buckets.setdefault(_class_key(v, grouping), []).append(i)
+        r, d = _residue(v)
+        if grouping == "bcd":
+            # difference-or-sum congruence: fractional parts r/d and (d-r)/d merge
+            r = min(r, d - r)
+        buckets.setdefault((r, d), []).append(i)
     classes = {
         key: CongruenceClass(
             positions=tuple(i + 1 for i in idxs),
@@ -107,8 +108,8 @@ def congruence_decompose(weight, grouping: str) -> CongruenceSplit:
     if grouping == "typeA":
         others = tuple(sorted(classes.values(), key=lambda c: c.positions[0]))
         return CongruenceSplit(grouping, None, None, others)
-    integral = classes.pop(Fraction(0), None)
-    half = classes.pop(Fraction(1, 2), None)
+    integral = classes.pop((0, 1), None)
+    half = classes.pop((1, 2), None)
     others = tuple(sorted(classes.values(), key=lambda c: c.positions[0]))
     return CongruenceSplit(grouping, integral, half, others)
 
@@ -119,12 +120,13 @@ def tilde(values) -> tuple:
     The entries congruent to the first one (by integral difference) stay put;
     the remaining entries are negated and appended in reversed order.
     """
-    vals = tuple(Fraction(v) for v in values)
+    vals = tuple(map(_as_fraction, values))
     if not vals:
         return ()
-    lead = _frac(vals[0])
-    y = [v for v in vals if _frac(v) == lead]
-    z = [v for v in vals if _frac(v) != lead]
+    lead = _residue(vals[0])
+    y, z = [], []
+    for v in vals:
+        (y if _residue(v) == lead else z).append(v)
     return tuple(y) + tuple(-v for v in reversed(z))
 
 

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from socular import DomainError, double, f_stat, gk_breakdown, gk_dimension, rs_shape
+from socular.oracles import gk_dimension_oracle
 
 
 def test_paper_derived_examples():
@@ -81,3 +82,31 @@ def test_breakdown_class_bookkeeping():
     assert by_kind == {"b", "d", "a"}
     positions = sorted(p for rec in info["classes"] for p in rec["positions"])
     assert positions == [1, 2, 3, 4]
+
+
+def _oracle_weight(rng, family, n, kind):
+    """Integral, half-integral, or generic: 2-4 classes with denominators 3-7."""
+    lim = 3 * n
+    if kind == "integral":
+        return tuple(rng.randint(-lim, lim) for _ in range(n))
+    if kind == "half":
+        return tuple(F(2 * rng.randint(-lim, lim) + 1, 2) for _ in range(n))
+    residues = [F(rng.randrange(1, b), b) for b in (rng.randint(3, 7) for _ in range(rng.randint(2, 4)))]
+    out = []
+    for _ in range(n):
+        v = rng.randint(-lim, lim) + rng.choice(residues)
+        out.append(-v if family != "A" and rng.random() < 0.5 else v)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+def test_fast_path_matches_fraction_oracle(family):
+    rng = random.Random(2305 + ord(family))
+    for n in (2, 3, 4, 7, 16, 33, 64, 128, 256):
+        for kind in ("integral", "half", "generic"):
+            for _ in range(2 if n >= 128 else 6):
+                w = _oracle_weight(rng, family, n, kind)
+                want = gk_dimension_oracle(w, family)
+                assert gk_dimension(w, family) == want, (family, w)
+                assert gk_dimension(tuple(F(v) for v in w), family) == want
+                assert gk_breakdown(w, family)["gkdim"] == want

@@ -1,7 +1,7 @@
 import pytest
 
-from socular import DomainError, f_stat, hollow, parity_profile, render_diagram, render_hollow
-from socular.hollow import f_stat_column_form, row_parity_counts
+from socular import DomainError, f_stat, hollow, parity_profile, partitions_of, render_diagram, render_hollow
+from socular.hollow import _hollow, f_stat_column_form, row_parity_counts
 
 from helpers import all_partitions
 
@@ -54,6 +54,19 @@ def test_hollow_examples():
     assert hollow((2,), "odd") == {(1, 2)}
     assert hollow((5, 3), "odd") == {(1, 2), (1, 4), (2, 1), (2, 3)}
     assert hollow((5, 3), "even") == {(1, 1), (1, 3), (1, 5), (2, 2)}
+
+
+def test_hollow_cache_is_bounded():
+    bound = _hollow.cache_info().maxsize
+    assert bound is not None
+    calls = 0
+    for total in range(26):
+        for p in partitions_of(total):
+            hollow(p, "odd")
+            hollow(p, "even")
+            calls += 2
+    assert calls > bound
+    assert _hollow.cache_info().currsize == bound
 
 
 def test_hollow_partitions_cells():

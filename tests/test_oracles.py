@@ -9,6 +9,8 @@ from socular import (
     restricted_transform_oracle,
     socular_enumeration,
 )
+from socular import oracles
+from socular.oracles import check_socular
 
 
 def test_collapse_oracle_fixed_points():
@@ -64,3 +66,19 @@ def test_budget_rank_guard():
     setup = parabolic_from_composition("B", (2, 1, 1))
     with pytest.raises(DomainError):
         socular_enumeration(setup, EnumerationBudget(max_n=3))
+
+
+def test_check_socular_skips_window_without_dominant_weight():
+    # B3 with composition (3,) needs x1 > x2 > x3 > 0: nothing inside +-2
+    setup = parabolic_from_composition("B", (3,))
+    budget = EnumerationBudget(entry_window=(-2, 2), max_n=3)
+    assert socular_enumeration(setup, budget) == (-1, [])
+    assert check_socular(budget, ("B",)) == []
+    assert check_socular(budget, ("C",)) == []
+
+
+def test_check_socular_still_reports_a_wrong_maximum(monkeypatch):
+    budget = EnumerationBudget(entry_window=(-2, 2), max_n=2)
+    monkeypatch.setattr(oracles, "gk_dimension", lambda w, family: 0)
+    failures = check_socular(budget, ("B",))
+    assert failures and all("max GK 0 != dim u" in f for f in failures)

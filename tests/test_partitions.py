@@ -13,7 +13,7 @@ from socular import (
 )
 from socular.partitions import ORBIT_FAMILIES, as_partition, format_partition, partitions_of
 
-from helpers import all_partitions
+from helpers import _partitions, all_partitions
 
 
 def test_transpose_examples():
@@ -161,3 +161,15 @@ def test_special_iff_expand_fixed_point():
             if not is_orbit_partition(p, family):
                 continue
             assert is_special(p, family) == (expand(p, family) == p)
+
+
+def test_partitions_of_matches_recursive_enumeration():
+    for n in range(21):
+        assert list(partitions_of(n)) == _partitions(n, n)
+        for max_part in range(-1, n + 2):
+            assert list(partitions_of(n, max_part)) == _partitions(n, max_part)
+
+
+def test_partitions_of_has_no_recursion_limit():
+    assert next(partitions_of(1200, 1)) == (1,) * 1200
+    assert next(partitions_of(1200)) == (1200,)

@@ -98,6 +98,37 @@ def test_rs_shape_cached_equals_direct():
     assert rs_shape(double(w)) == shape(rs_tableau(double(w)))
 
 
+def test_rs_shape_fallback_matches_tableau_shape():
+    rng = random.Random(29)
+    cases = [
+        (F(1, 2), F(1, 3), F(-2, 3), 1, F(5, 6)),  # mixed denominators
+        (F(3, 2), 1, F(-1, 2), 0),  # ints next to halves
+        (-3, -7, -1, -7, -2),  # negative ints
+        (F(-5, 3), F(-4, 3), F(-7, 3), F(2, 3)),  # one shared denominator
+        (True, False, True),  # bools fall back to plain comparison
+        ("b", "a", "c", "a"),  # non-numeric entries
+        ((1, 2), (0, 5), (1, 1)),
+        (),
+    ]
+    for _ in range(40):
+        dens = rng.choice([[1], [3], [2, 3], [1, 4, 7]])
+        cases.append(tuple(F(rng.randint(-9, 9), rng.choice(dens)) for _ in range(rng.randint(1, 14))))
+    for seq in cases:
+        assert rs_shape(seq) == shape(rs_tableau(seq)), seq
+
+
+def test_rs_shape_cache_is_bounded():
+    bound = rs_shape.cache_info().maxsize
+    assert bound is not None
+    rs_shape.cache_clear()
+    try:
+        for i in range(bound + 10):
+            rs_shape((i, -i))
+        assert rs_shape.cache_info().currsize == bound
+    finally:
+        rs_shape.cache_clear()
+
+
 def test_render():
     tab = rs_tableau((-6, -5, 2))
     assert render_tableau(tab) == "-6 -5 2"
