@@ -8,10 +8,11 @@ Z-diagrams, collapses) exposed.
 
 from .errors import DomainError, IntegrityError
 from .gkdim import FAMILIES, gk_breakdown, gk_dimension
-from .hollow import f_stat, hollow, parity_profile, render_diagram, render_hollow
+from .hollow import f_stat, f_stat_sequence, hollow, parity_profile, render_diagram, render_hollow
 from .oracles import (
     EnumerationBudget,
     collapse_oracle,
+    expand_oracle,
     restricted_transform_oracle,
     socular_enumeration,
 )
@@ -55,12 +56,14 @@ __all__ = [
     "gk_breakdown",
     "gk_dimension",
     "f_stat",
+    "f_stat_sequence",
     "hollow",
     "parity_profile",
     "render_diagram",
     "render_hollow",
     "EnumerationBudget",
     "collapse_oracle",
+    "expand_oracle",
     "restricted_transform_oracle",
     "socular_enumeration",
     "ParabolicSetup",

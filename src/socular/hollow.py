@@ -8,7 +8,7 @@ socularity criteria compare hollow shapes as plain sets of cells.
 from functools import lru_cache
 
 from .errors import DomainError
-from .partitions import Partition, as_partition, transpose
+from .partitions import Partition, _transpose, as_partition
 from .tableaux import CACHE_SIZE, rs_shape
 
 PARITIES = ("odd", "even")
@@ -42,7 +42,7 @@ def parity_profile(p) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]
     row counts of the transpose.
     """
     p = as_partition(p)
-    q = transpose(p)
+    q = _transpose(p)
     return (
         row_parity_counts(p, "even"),
         row_parity_counts(p, "odd"),
@@ -68,21 +68,8 @@ def _hollow(p: Partition, parity: str) -> HollowShape:
     )
 
 
-def _looks_like_partition(obj) -> bool:
-    vals = tuple(obj)
-    if not vals:
-        return True
-    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in vals):
-        return False
-    return all(vals[i] >= vals[i + 1] for i in range(len(vals) - 1))
-
-
-def f_stat(shape_or_seq, kind: str) -> int:
-    """The invariants F_a, F_b, F_d of a shape, as selected by ``kind``.
-
-    Accepts either a partition (used as the shape directly) or a sequence of
-    entries, which is first sent through Robinson-Schensted insertion.  An
-    input that happens to be a valid partition is always read as a shape.
+def f_stat(shape, kind: str) -> int:
+    """The invariants F_a, F_b, F_d of a shape (a partition), as selected by ``kind``.
 
     F_a = sum over columns of c(c-1)/2;
     F_b = sum over rows of (i-1) * p_i^odd;
@@ -90,14 +77,16 @@ def f_stat(shape_or_seq, kind: str) -> int:
     """
     if kind not in ("a", "b", "d"):
         raise DomainError(f"kind must be 'a', 'b' or 'd', got {kind!r}")
-    if _looks_like_partition(shape_or_seq):
-        sh = as_partition(shape_or_seq)
-    else:
-        sh = rs_shape(tuple(shape_or_seq))
+    sh = as_partition(shape)
     if kind == "a":
-        return sum(c * (c - 1) // 2 for c in transpose(sh))
+        return sum(c * (c - 1) // 2 for c in _transpose(sh))
     parity = "odd" if kind == "b" else "even"
-    return sum((i - 1) * c for i, c in enumerate(row_parity_counts(sh, parity), 1))
+    return sum((i - 1) * _row_count(length, i, parity) for i, length in enumerate(sh, 1))
+
+
+def f_stat_sequence(seq, kind: str) -> int:
+    """:func:`f_stat` of the Robinson-Schensted shape of a sequence of entries."""
+    return f_stat(rs_shape(tuple(seq)), kind)
 
 
 def f_stat_column_form(p, kind: str) -> int:
@@ -105,8 +94,7 @@ def f_stat_column_form(p, kind: str) -> int:
 
     Used as a consistency cross-check against :func:`f_stat`.
     """
-    p = as_partition(p)
-    q = transpose(p)
+    q = _transpose(as_partition(p))
     if kind == "b":
         counts = row_parity_counts(q, "odd")
         return sum(c * c if i % 2 == 1 else c * (c - 1) for i, c in enumerate(counts, 1))

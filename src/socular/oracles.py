@@ -1,8 +1,13 @@
 """Brute-force reference implementations used to validate the fast paths.
 
-These are deliberately naive: collapse by scanning the whole dominance poset,
-the H-algorithm by enumerating all same-hollow orbit partitions, socularity by
-enumerating integral weights.  They exist to be obviously correct.
+These are deliberately naive: collapse and expansion by scanning the whole
+dominance poset, the H-algorithm by enumerating all same-hollow orbit
+partitions, socularity by enumerating integral weights, GK dimension on plain
+``Fraction`` entries.  They exist to be obviously correct.
+
+Each oracle validates its argument once; the partitions it enumerates come from
+:func:`partitions_of`, which yields canonical tuples, so it tests them with the
+unchecked kernels of :mod:`socular.partitions` and :mod:`socular.hollow`.
 """
 
 from dataclasses import dataclass
@@ -11,15 +16,22 @@ from itertools import product
 
 from .errors import DomainError, IntegrityError
 from .gkdim import check_family, gk_dimension
-from .hollow import f_stat, hollow
-from .parabolic import ParabolicSetup, dim_nilradical, is_p_dominant, is_socular, parabolic_from_roots
+from .hollow import _hollow, f_stat, hollow
+from .parabolic import (
+    ParabolicSetup,
+    _integral_criterion,
+    dim_nilradical,
+    is_p_dominant,
+    parabolic_from_roots,
+)
 from .partitions import (
     ORBIT_FAMILIES,
     Partition,
+    _dominates,
+    _is_orbit,
+    _is_special,
     as_partition,
-    dominates,
     is_orbit_partition,
-    is_special,
     partitions_of,
 )
 from .tableaux import rs_tableau, shape
@@ -35,14 +47,14 @@ class EnumerationBudget:
 
 def _unique_max(cands: list[Partition], context: str) -> Partition:
     for q in cands:
-        if all(dominates(q, other) for other in cands):
+        if all(_dominates(q, other) for other in cands):
             return q
     raise IntegrityError(f"no unique dominance maximum among {len(cands)} candidates: {context}")
 
 
 def _unique_min(cands: list[Partition], context: str) -> Partition:
     for q in cands:
-        if all(dominates(other, q) for other in cands):
+        if all(_dominates(other, q) for other in cands):
             return q
     raise IntegrityError(f"no unique dominance minimum among {len(cands)} candidates: {context}")
 
@@ -55,10 +67,21 @@ def collapse_oracle(p, family: str) -> Partition:
     want = 1 if family == "B" else 0
     if sum(p) % 2 != want:
         raise DomainError(f"type {family} needs total parity {want}, got total {sum(p)}")
-    cands = [
-        q for q in partitions_of(sum(p)) if is_orbit_partition(q, family) and dominates(p, q)
-    ]
+    cands = [q for q in partitions_of(sum(p)) if _is_orbit(q, family) and _dominates(p, q)]
     return _unique_max(cands, f"collapse of {p} in type {family}")
+
+
+def expand_oracle(p, family: str) -> Partition:
+    """Dominance-minimum special type-``family`` partition above ``p``, by full enumeration."""
+    p = as_partition(p)
+    if not is_orbit_partition(p, family):
+        raise DomainError(f"{p} is not an orbit partition of type {family}")
+    cands = [
+        q
+        for q in partitions_of(sum(p))
+        if _is_orbit(q, family) and _is_special(q, family) and _dominates(q, p)
+    ]
+    return _unique_min(cands, f"expansion of {p} in type {family}")
 
 
 def restricted_transform_oracle(p, family: str) -> Partition:
@@ -81,7 +104,7 @@ def restricted_transform_oracle(p, family: str) -> Partition:
     cands = [
         q
         for q in partitions_of(target)
-        if is_orbit_partition(q, family) and hollow(q, parity) == ph
+        if _is_orbit(q, family) and _hollow(q, parity) == ph
     ]
     if not cands:
         raise IntegrityError(f"no type-{family} partition of {target} shares the {parity} boxes of {p}")
@@ -89,13 +112,13 @@ def restricted_transform_oracle(p, family: str) -> Partition:
         reference = (p[0] + 1,) + p[1:] if p else (1,)
     else:
         reference = p
-    below = [q for q in cands if dominates(reference, q)]
+    below = [q for q in cands if _dominates(reference, q)]
     context = f"restricted transform of {p} in type {family}"
     lower = _unique_max(below, context) if below else None
     specials = [
         q
         for q in cands
-        if is_special(q, family) and (lower is None or dominates(q, lower))
+        if _is_special(q, family) and (lower is None or _dominates(q, lower))
     ]
     if not specials:
         raise IntegrityError(f"no special candidate above the restricted collapse: {context}")
@@ -164,21 +187,12 @@ def _dominant_weights(setup: ParabolicSetup, budget: EnumerationBudget) -> list[
     return [w for w in integral_weights(setup.n, budget.entry_window) if is_p_dominant(w, setup)]
 
 
-def _gk_maximum(weights, family: str) -> tuple[int, list[tuple[int, ...]]]:
-    best = -1
-    attaining: list[tuple[int, ...]] = []
-    for w in weights:
-        g = gk_dimension(w, family)
-        if g > best:
-            best, attaining = g, [w]
-        elif g == best:
-            attaining.append(w)
-    return best, attaining
-
-
 def socular_enumeration(setup: ParabolicSetup, budget: EnumerationBudget):
     """Maximum GK dimension over windowed integral p-dominant weights, with witnesses."""
-    return _gk_maximum(_dominant_weights(setup, budget), setup.family)
+    weights = _dominant_weights(setup, budget)
+    gks = [gk_dimension(w, setup.family) for w in weights]
+    best = max(gks, default=-1)
+    return best, [w for w, g in zip(weights, gks) if g == best]
 
 
 def _all_setups(family: str, max_n: int):
@@ -224,8 +238,10 @@ def check_halg(budget: EnumerationBudget) -> list[str]:
 def check_socular(budget: EnumerationBudget, families=("A", "B", "C", "D")) -> list[str]:
     """For every setup: max GK equals dim(u) and the attaining weights are the socular ones.
 
-    A setup whose window holds no p-dominant weight has nothing to compare and
-    is skipped.
+    GK dimension is computed once per p-dominant weight; the verdict comes from
+    the combinatorial criterion alone (every window weight is integral).  A
+    setup whose window holds no p-dominant weight has nothing to compare and is
+    skipped.
     """
     failures = []
     for family in families:
@@ -233,17 +249,17 @@ def check_socular(budget: EnumerationBudget, families=("A", "B", "C", "D")) -> l
             dominant = _dominant_weights(setup, budget)
             if not dominant:
                 continue
-            best, attaining = _gk_maximum(dominant, family)
+            gks = [gk_dimension(w, family) for w in dominant]
+            best = max(gks)
             du = dim_nilradical(setup)
             if best != du:
                 failures.append(f"{setup}: max GK {best} != dim u {du}")
                 continue
-            attain_set = set(attaining)
-            for w in dominant:
-                cert = is_socular(w, setup)
-                if cert.verdict != (w in attain_set):
+            for w, g in zip(dominant, gks):
+                verdict = _integral_criterion(w, setup)[0]
+                if verdict != (g == best):
                     failures.append(
-                        f"{setup}, weight {w}: criterion says {cert.verdict}, "
-                        f"gk attainment says {w in attain_set}"
+                        f"{setup}, weight {w}: criterion says {verdict}, "
+                        f"gk attainment says {g == best}"
                     )
     return failures

@@ -11,14 +11,13 @@ composition.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, IntegrityError
 from .gkdim import check_family, gk_dimension
 from .hollow import HollowShape, hollow
 from .partitions import transpose
 from .tableaux import rs_shape
-from .weights import double, is_integral
+from .weights import double, exact_entries, is_integral
 from .zdiagram import z_diagram
 
 
@@ -118,8 +117,8 @@ def dim_nilradical(setup: ParabolicSetup) -> int:
 
 
 def _positive_integer(v) -> bool:
-    f = Fraction(v)
-    return f.denominator == 1 and f > 0
+    # v is an int or a Fraction; both carry a denominator
+    return v > 0 and v.denominator == 1
 
 
 def is_p_dominant(weight, setup: ParabolicSetup) -> bool:
@@ -128,7 +127,7 @@ def is_p_dominant(weight, setup: ParabolicSetup) -> bool:
     Checked on the original excluded set: every retained simple root must pair
     with the weight to a positive integer.
     """
-    w = tuple(weight)
+    w = exact_entries(weight)
     n = setup.n
     if len(w) != n:
         raise DomainError(f"weight length {len(w)} != rank {n}")
@@ -137,14 +136,31 @@ def is_p_dominant(weight, setup: ParabolicSetup) -> bool:
             return False
     if setup.family != "A" and n not in setup.excluded:
         if setup.family == "B":
-            v = 2 * Fraction(w[n - 1])
+            v = 2 * w[n - 1]
         elif setup.family == "C":
-            v = Fraction(w[n - 1])
+            v = w[n - 1]
         else:
-            v = Fraction(w[n - 2]) + Fraction(w[n - 1])
+            v = w[n - 2] + w[n - 1]
         if not _positive_integer(v):
             return False
     return True
+
+
+def _integral_criterion(w: tuple, setup: ParabolicSetup):
+    """The combinatorial socularity test of an integral weight.
+
+    Returns (verdict, reason, candidate hollow, target hollow).  Type A
+    compares the transposed tableau shape with the sorted composition; B/C/D
+    match the hollow shape of the doubled weight against the Z-diagram.
+    """
+    if setup.family == "A":
+        want = tuple(sorted(setup.normalized_composition, reverse=True))
+        return transpose(rs_shape(w)) == want, "typeA-shape", None, None
+    parity = "odd" if setup.family in ("B", "C") else "even"
+    a0, bs = z_type(setup)
+    candidate = hollow(rs_shape(double(w)), parity)
+    target = hollow(z_diagram(a0, bs).shape, parity)
+    return candidate == target, "hollow-match", candidate, target
 
 
 def is_socular(weight, setup: ParabolicSetup) -> SocularCertificate:
@@ -159,21 +175,10 @@ def is_socular(weight, setup: ParabolicSetup) -> SocularCertificate:
         raise DomainError("L(lambda) not in O^p: weight is not p-dominant")
     gk = gk_dimension(w, setup.family)
     du = dim_nilradical(setup)
-    candidate = target = None
-    if not is_integral(w):
-        verdict = gk == du
-        reason = "gk-equality"
-    elif setup.family == "A":
-        want = tuple(sorted(setup.normalized_composition, reverse=True))
-        verdict = transpose(rs_shape(w)) == want
-        reason = "typeA-shape"
+    if is_integral(w):
+        verdict, reason, candidate, target = _integral_criterion(w, setup)
     else:
-        parity = "odd" if setup.family in ("B", "C") else "even"
-        a0, bs = z_type(setup)
-        candidate = hollow(rs_shape(double(w)), parity)
-        target = hollow(z_diagram(a0, bs).shape, parity)
-        verdict = candidate == target
-        reason = "hollow-match"
+        verdict, reason, candidate, target = gk == du, "gk-equality", None, None
     if verdict and gk != du:
         raise IntegrityError(
             f"socular verdict with GKdim {gk} != dim(u) {du} for {w} in {setup}"

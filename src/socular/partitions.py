@@ -3,12 +3,18 @@
 A partition is a tuple of weakly decreasing positive integers; trailing zeros
 are never stored.  Partitions double as Young-diagram shapes and as labels of
 nilpotent orbits in the classical Lie algebras.
+
+The public functions validate their input once and then run an unchecked
+kernel (``_transpose``, ``_dominates``, ``_is_orbit``, ``_is_special``).  The
+kernels take canonical tuples only, such as those from :func:`partitions_of`.
 """
 
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from itertools import accumulate
+from operator import ge
 
-from .errors import DomainError, IntegrityError
+from .errors import DomainError
 
 ORBIT_FAMILIES = ("B", "C", "D")
 
@@ -42,12 +48,26 @@ def format_partition(p: Iterable[int]) -> str:
     return ",".join(str(v) for v in p)
 
 
-def transpose(p: Iterable[int]) -> Partition:
-    """Conjugate partition: entry i is the length of the i-th column of the diagram."""
-    p = as_partition(p)
+def _transpose(p: Partition) -> Partition:
     if not p:
         return ()
-    return tuple(sum(1 for part in p if part >= i) for i in range(1, p[0] + 1))
+    out = []
+    rows = len(p)
+    for i in range(1, p[0] + 1):
+        while p[rows - 1] < i:
+            rows -= 1
+        out.append(rows)
+    return tuple(out)
+
+
+def transpose(p: Iterable[int]) -> Partition:
+    """Conjugate partition: entry i is the length of the i-th column of the diagram."""
+    return _transpose(as_partition(p))
+
+
+def _dominates(d: Partition, f: Partition) -> bool:
+    # with equal totals, the prefix sums past the shorter partition cannot fail
+    return all(map(ge, accumulate(d), accumulate(f)))
 
 
 def dominates(d: Iterable[int], f: Iterable[int]) -> bool:
@@ -59,18 +79,21 @@ def dominates(d: Iterable[int], f: Iterable[int]) -> bool:
     d, f = as_partition(d), as_partition(f)
     if sum(d) != sum(f):
         raise DomainError(f"dominance needs equal totals: {sum(d)} != {sum(f)}")
-    ds = df = 0
-    for i in range(max(len(d), len(f))):
-        ds += d[i] if i < len(d) else 0
-        df += f[i] if i < len(f) else 0
-        if ds < df:
-            return False
-    return True
+    return _dominates(d, f)
 
 
 def _check_orbit_family(family: str) -> None:
     if family not in ORBIT_FAMILIES:
         raise DomainError(f"orbit family must be one of {ORBIT_FAMILIES}, got {family!r}")
+
+
+def _is_orbit(p: Partition, family: str) -> bool:
+    if sum(p) % 2 != (family == "B"):
+        return False
+    # the constrained parts, in decreasing order, pair up iff each has even multiplicity
+    odd = family == "C"
+    c = [v for v in p if v % 2 == odd]
+    return c[0::2] == c[1::2]
 
 
 def is_orbit_partition(p: Iterable[int], family: str) -> bool:
@@ -82,15 +105,15 @@ def is_orbit_partition(p: Iterable[int], family: str) -> bool:
     """
     p = as_partition(p)
     _check_orbit_family(family)
-    counts = Counter(p)
-    if family == "C":
-        constrained = 1  # odd parts must pair up
-    else:
-        constrained = 0
-    total_parity = 1 if family == "B" else 0
-    if sum(p) % 2 != total_parity:
-        return False
-    return all(c % 2 == 0 for v, c in counts.items() if v % 2 == constrained)
+    return _is_orbit(p, family)
+
+
+def _dual_family(family: str) -> str:
+    return "B" if family == "B" else "C"
+
+
+def _is_special(p: Partition, family: str) -> bool:
+    return _is_orbit(_transpose(p), _dual_family(family))
 
 
 def is_special(p: Iterable[int], family: str) -> bool:
@@ -100,10 +123,9 @@ def is_special(p: Iterable[int], family: str) -> bool:
     """
     p = as_partition(p)
     _check_orbit_family(family)
-    if not is_orbit_partition(p, family):
+    if not _is_orbit(p, family):
         raise DomainError(f"{p} is not an orbit partition of type {family}")
-    dual_family = "B" if family == "B" else "C"
-    return is_orbit_partition(transpose(p), dual_family)
+    return _is_special(p, family)
 
 
 def _collapse_target(parts: list[int], family: str) -> int | None:
@@ -147,24 +169,18 @@ def collapse(p: Iterable[int], family: str) -> Partition:
 def expand(p: Iterable[int], family: str) -> Partition:
     """Smallest special type-``family`` partition dominating ``p``.
 
-    Found by direct search over all special partitions of the same total;
-    small totals are the intended regime.
+    The dual of the collapse (Collingwood-McGovern, *Nilpotent Orbits in
+    Semisimple Lie Algebras*, 6.3): transpose, collapse in the dual family (B
+    for B, C for C and D), transpose back.
     """
     p = as_partition(p)
     _check_orbit_family(family)
-    if not is_orbit_partition(p, family):
+    if not _is_orbit(p, family):
         raise DomainError(f"{p} is not an orbit partition of type {family}")
-    if is_special(p, family):
-        return p
-    candidates = [
-        q
-        for q in partitions_of(sum(p))
-        if is_orbit_partition(q, family) and is_special(q, family) and dominates(q, p)
-    ]
-    for q in candidates:
-        if all(dominates(other, q) for other in candidates):
-            return q
-    raise IntegrityError(f"no unique smallest special partition above {p} in type {family}")
+    q, dual = _transpose(p), _dual_family(family)
+    if _is_orbit(q, dual):
+        return p  # special: its own expansion
+    return _transpose(collapse(q, dual))
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:

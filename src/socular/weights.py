@@ -1,8 +1,9 @@
 """Exact-rational weight sequences, doubling maps, and congruence decompositions.
 
 Weights are tuples of ``fractions.Fraction`` (plain ints are accepted anywhere
-and mean the same thing).  All operations are pure; no floating point is used
-anywhere because the downstream criteria are exact equalities.
+and mean the same thing; floats, strings and bools are domain errors).  All
+operations are pure; no floating point is used anywhere because the downstream
+criteria are exact equalities.
 """
 
 import re
@@ -47,8 +48,24 @@ def double(weight, side: str = "back") -> tuple:
     raise DomainError(f"side must be 'back' or 'front', got {side!r}")
 
 
+def _exact(v):
+    """``v`` itself if it is an int (not a bool) or a Fraction; anything else is a domain error."""
+    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+        raise DomainError(f"weight entries must be ints or Fractions, got {v!r}")
+    return v
+
+
+def exact_entries(weight) -> tuple:
+    """``weight`` as a tuple, after checking that every entry is an int (not a bool) or a Fraction."""
+    w = tuple(weight)
+    for v in w:
+        if type(v) is not int and type(v) is not Fraction:  # the common types skip the call
+            _exact(v)
+    return w
+
+
 def _as_fraction(v) -> Fraction:
-    return v if type(v) is Fraction else Fraction(v)
+    return v if type(v) is Fraction else Fraction(_exact(v))
 
 
 def _residue(f: Fraction) -> tuple[int, int]:
@@ -131,4 +148,4 @@ def tilde(values) -> tuple:
 
 
 def is_integral(weight) -> bool:
-    return all(Fraction(v).denominator == 1 for v in weight)
+    return all(_exact(v).denominator == 1 for v in weight)

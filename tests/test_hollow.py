@@ -1,6 +1,6 @@
 import pytest
 
-from socular import DomainError, f_stat, hollow, parity_profile, partitions_of, render_diagram, render_hollow
+from socular import DomainError, f_stat, f_stat_sequence, hollow, parity_profile, partitions_of, render_diagram, render_hollow
 from socular.hollow import _hollow, f_stat_column_form, row_parity_counts
 
 from helpers import all_partitions
@@ -86,9 +86,18 @@ def test_f_stat_examples():
 
 
 def test_f_stat_on_sequences():
-    # non-partition input goes through Robinson-Schensted first
-    assert f_stat((-5, -6, -4, 2, -2, 4, 6, 5), "b") == 2
-    assert f_stat((2, 1, 3), "a") == 1
+    # f_stat_sequence sends its entries through Robinson-Schensted first
+    assert f_stat_sequence((-5, -6, -4, 2, -2, 4, 6, 5), "b") == 2
+    assert f_stat_sequence((2, 1, 3), "a") == 1
+    # a sequence that happens to be a partition is still read as a sequence
+    assert f_stat_sequence((2, 1, 1), "a") == 1
+    assert f_stat((2, 1, 1), "a") == 3
+
+
+def test_f_stat_reads_shapes_only():
+    for bad in ((-5, -6, -4, 2), (2, 1, 3), (2, 0), (1.0,)):
+        with pytest.raises(DomainError):
+            f_stat(bad, "b")
 
 
 def test_f_stat_bad_kind():

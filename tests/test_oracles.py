@@ -5,12 +5,16 @@ from socular import (
     EnumerationBudget,
     collapse_oracle,
     dim_nilradical,
+    expand,
+    expand_oracle,
+    is_orbit_partition,
     parabolic_from_composition,
     restricted_transform_oracle,
     socular_enumeration,
 )
-from socular import oracles
-from socular.oracles import check_socular
+from socular import gkdim, oracles
+from socular.oracles import check_socular, integral_weights
+from socular.partitions import ORBIT_FAMILIES, partitions_of
 
 
 def test_collapse_oracle_fixed_points():
@@ -25,6 +29,19 @@ def test_collapse_oracle_examples():
 def test_collapse_oracle_parity():
     with pytest.raises(DomainError):
         collapse_oracle((2, 2), "B")
+
+
+def test_expand_matches_expand_oracle():
+    for total in range(15):
+        for p in partitions_of(total):
+            for family in ORBIT_FAMILIES:
+                if is_orbit_partition(p, family):
+                    assert expand(p, family) == expand_oracle(p, family), (p, family)
+
+
+def test_expand_oracle_rejects_non_orbit():
+    with pytest.raises(DomainError):
+        expand_oracle((3, 1), "C")
 
 
 def test_restricted_transform_oracle_examples():
@@ -82,3 +99,30 @@ def test_check_socular_still_reports_a_wrong_maximum(monkeypatch):
     monkeypatch.setattr(oracles, "gk_dimension", lambda w, family: 0)
     failures = check_socular(budget, ("B",))
     assert failures and all("max GK 0 != dim u" in f for f in failures)
+
+
+def test_check_socular_computes_gk_once_per_dominant_weight(monkeypatch):
+    budget = EnumerationBudget(entry_window=(-3, 3), max_n=2)
+    dominant = sum(
+        1
+        for family in "ABCD"
+        for setup in oracles._all_setups(family, budget.max_n)
+        for w in integral_weights(setup.n, budget.entry_window)
+        if oracles.is_p_dominant(w, setup)
+    )
+    calls = {"oracles": 0, "core": 0}
+    real_gk_dimension, real_gk = oracles.gk_dimension, gkdim._gk
+
+    def counting_gk_dimension(w, family):
+        calls["oracles"] += 1
+        return real_gk_dimension(w, family)
+
+    def counting_gk(*args):
+        calls["core"] += 1
+        return real_gk(*args)
+
+    monkeypatch.setattr(oracles, "gk_dimension", counting_gk_dimension)
+    monkeypatch.setattr(gkdim, "_gk", counting_gk)
+    assert check_socular(budget) == []
+    assert dominant == 378
+    assert calls == {"oracles": dominant, "core": dominant}

@@ -1,5 +1,13 @@
+import os
+import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
+import socular
 from socular import (
     DomainError,
     collapse,
@@ -173,3 +181,73 @@ def test_partitions_of_matches_recursive_enumeration():
 def test_partitions_of_has_no_recursion_limit():
     assert next(partitions_of(1200, 1)) == (1,) * 1200
     assert next(partitions_of(1200)) == (1200,)
+
+
+def _orbit_by_multiplicity(p, family):
+    # the definition read literally: total parity, then multiplicities of the constrained parts
+    if sum(p) % 2 != (1 if family == "B" else 0):
+        return False
+    constrained = 1 if family == "C" else 0
+    return all(c % 2 == 0 for v, c in Counter(p).items() if v % 2 == constrained)
+
+
+def _dominates_by_prefix_sums(d, f):
+    length = max(len(d), len(f))
+    d, f = d + (0,) * (length - len(d)), f + (0,) * (length - len(f))
+    return all(sum(d[: i + 1]) >= sum(f[: i + 1]) for i in range(length))
+
+
+def test_kernels_match_definitions():
+    for total in range(15):
+        parts = list(partitions_of(total))
+        for p in parts:
+            assert transpose(p) == tuple(
+                sum(1 for v in p if v >= i) for i in range(1, (p[0] if p else 0) + 1)
+            )
+            for family in ORBIT_FAMILIES:
+                assert is_orbit_partition(p, family) == _orbit_by_multiplicity(p, family)
+            for q in parts:
+                assert dominates(p, q) == _dominates_by_prefix_sums(p, q)
+
+
+def _large_orbit_partitions(family, count, seed):
+    # random partitions of totals 200-240, collapsed into the family, half of them not special
+    rng = random.Random(seed)
+    found, plain = [], []
+    while len(found) < count:
+        total = rng.randint(200, 240)
+        total += total % 2 != (1 if family == "B" else 0)
+        parts, left = [], total
+        while left:
+            parts.append(rng.randint(1, min(left, 40)))
+            left -= parts[-1]
+        p = collapse(tuple(sorted(parts, reverse=True)), family)
+        if not is_special(p, family):
+            found.append(p)
+        elif len(plain) < count // 2:
+            plain.append(p)
+    return found + plain
+
+
+@pytest.mark.parametrize("family", ORBIT_FAMILIES)
+def test_expand_has_no_exponential_cliff(family):
+    for p in _large_orbit_partitions(family, 4, seed=ord(family)):
+        assert sum(p) >= 200
+        e = expand(p, family)
+        assert sum(e) == sum(p)
+        assert is_orbit_partition(e, family) and is_special(e, family)
+        assert dominates(e, p)
+        assert expand(e, family) == e
+        assert (e == p) == is_special(p, family)
+
+
+def test_cli_expand_on_a_large_partition():
+    p = _large_orbit_partitions("C", 1, seed=7)[0]
+    env = dict(os.environ, PYTHONPATH=str(Path(socular.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", "from socular.cli import main; main()",
+         "expand", "--family", "C", "--partition", format_partition(p)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert parse_partition(done.stdout.strip()) == expand(p, "C")

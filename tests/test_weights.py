@@ -3,7 +3,17 @@ from itertools import product
 
 import pytest
 
-from socular import DomainError, congruence_decompose, double, parse_weight, tilde
+from socular import (
+    DomainError,
+    congruence_decompose,
+    double,
+    gk_dimension,
+    is_p_dominant,
+    is_socular,
+    parabolic_from_composition,
+    parse_weight,
+    tilde,
+)
 from socular.weights import format_weight, is_integral, parse_rational
 
 
@@ -124,3 +134,21 @@ def test_parse_rational_lowest_terms():
 def test_is_integral():
     assert is_integral((-5, 0, 3))
     assert not is_integral((1, F(1, 2)))
+
+
+@pytest.mark.parametrize("weight", [(0.5, 1.0), (True, 2), ("1", 2)])
+def test_gk_dimension_rejects_inexact_entries(weight):
+    with pytest.raises(DomainError):
+        gk_dimension(weight, "B")
+
+
+def test_socularity_rejects_float_entries():
+    setup = parabolic_from_composition("B", (2,))
+    with pytest.raises(DomainError):
+        is_socular((2.0, 1.0), setup)
+    with pytest.raises(DomainError):
+        is_p_dominant((2, 1.0), setup)
+    with pytest.raises(DomainError):
+        is_integral((1, 2.0))
+    with pytest.raises(DomainError):
+        congruence_decompose((F(1, 2), False), "bcd")
