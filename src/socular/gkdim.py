@@ -4,12 +4,16 @@ Families: A = sl(n), B = so(2n+1), C = sp(n), D = so(2n), where n is the
 number of weight coordinates.  The general (not necessarily integral) formula
 splits the weight into congruence classes; for a fully integral weight it
 reduces to n^2 - F_b(lambda^-) (B, C) and n^2 - n - F_d(lambda^-) (D).
+
+The computation runs on integers: every class is a sequence of numerators
+over one denominator d, and ``rs_shape`` gets d only when d > 1, where it
+only keys the cache.
 """
 
 from .errors import DomainError
-from .hollow import f_stat
+from .hollow import _f_stat
 from .tableaux import rs_shape
-from .weights import congruence_decompose, double, tilde
+from .weights import class_buckets, double, integer_entries, tilde_numerators
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -32,39 +36,56 @@ def _ambient(family: str, n: int) -> int:
     return n * n - (n if family == "D" else 0)
 
 
-def _class_terms(weight, family: str):
-    """Each congruence class with its statistic kind and the sequence it inserts, in formula order."""
-    if family == "A":
-        for cls in congruence_decompose(weight, "typeA").classes():
-            yield cls, "a", cls.values
+def _class_terms(nums: list[int], dens: list[int], family: str):
+    """Each congruence class in formula order: its 0-based positions, denominator,
+    statistic kind and the numerators of the sequence it inserts.
+
+    An all-integral weight is one class and skips the bucketing.
+    """
+    n = len(nums)
+    if dens.count(1) == n:
+        if family == "A":
+            yield range(n), 1, "a", tuple(nums)
+        else:
+            yield range(n), 1, _CLASS_KINDS[family][0], double(nums)
         return
-    split = congruence_decompose(weight, "bcd")
-    kind0, kind_half = _CLASS_KINDS[family]
-    if split.integral is not None:
-        yield split.integral, kind0, double(split.integral.values)
-    if split.half_integral is not None:
-        yield split.half_integral, kind_half, double(split.half_integral.values)
-    for cls in split.others:
-        yield cls, "a", tilde(cls.values)
+    buckets = class_buckets(nums, dens, family != "A")
+    if family != "A":
+        kind0, kind_half = _CLASS_KINDS[family]
+        for key, kind in (((0, 1), kind0), ((1, 2), kind_half)):
+            idxs = buckets.pop(key, None)
+            if idxs is not None:
+                yield idxs, key[1], kind, double([nums[i] for i in idxs])
+    for (_, d), idxs in buckets.items():
+        vals = [nums[i] for i in idxs]
+        yield idxs, d, "a", tuple(vals) if family == "A" else tilde_numerators(vals, d)
+
+
+def _fmt(x: int, d: int) -> str:
+    return str(x) if d == 1 else f"{x}/{d}"
 
 
 def _gk(weight, family: str, records: list | None = None) -> tuple[int, int]:
-    """(GK dimension, ambient dimension); with ``records``, one record per class is appended."""
-    w = tuple(weight)
-    n = len(w)
+    """(GK dimension, ambient dimension); with ``records``, one record per class is appended.
+
+    Each class's numerators go to :func:`rs_shape`, with its denominator d
+    passed only when d > 1, so that it keys apart from an integral class.
+    """
+    nums, dens = integer_entries(weight)
+    n = len(nums)
     check_family(family, n)
     ambient = _ambient(family, n)
     penalty = 0
-    for cls, kind, seq in _class_terms(w, family):
-        sh = rs_shape(seq)
-        value = f_stat(sh, kind)
+    for idxs, d, kind, seq in _class_terms(nums, dens, family):
+        sh = rs_shape(seq) if d == 1 else rs_shape(seq, d)
+        value = _f_stat(sh, kind)
         penalty += value
         if records is not None:
             records.append(
                 {
-                    "positions": list(cls.positions),
-                    "entries": [str(v) for v in cls.values],
-                    "sequence": [str(v) for v in seq],
+                    "positions": [i + 1 for i in idxs],
+                    "entries": [_fmt(nums[i], d) for i in idxs],
+                    "sequence": [_fmt(x, d) for x in seq],
                     "shape": list(sh),
                     "kind": kind,
                     "f": value,

@@ -77,7 +77,11 @@ def f_stat(shape, kind: str) -> int:
     """
     if kind not in ("a", "b", "d"):
         raise DomainError(f"kind must be 'a', 'b' or 'd', got {kind!r}")
-    sh = as_partition(shape)
+    return _f_stat(as_partition(shape), kind)
+
+
+def _f_stat(sh: Partition, kind: str) -> int:
+    """:func:`f_stat` of a canonical partition and a valid kind, unchecked."""
     if kind == "a":
         return sum(c * (c - 1) // 2 for c in _transpose(sh))
     parity = "odd" if kind == "b" else "even"

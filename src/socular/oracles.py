@@ -20,6 +20,7 @@ from .hollow import _hollow, f_stat, hollow
 from .parabolic import (
     ParabolicSetup,
     _integral_criterion,
+    _integral_target,
     dim_nilradical,
     is_p_dominant,
     parabolic_from_roots,
@@ -195,14 +196,16 @@ def socular_enumeration(setup: ParabolicSetup, budget: EnumerationBudget):
     return best, [w for w, g in zip(weights, gks) if g == best]
 
 
+def parabolic_setups(family: str, n: int):
+    """Every standard parabolic of the family and rank ``n``, one per set of excluded simple roots."""
+    top = n - 1 if family == "A" else n
+    for mask in range(1 << top):
+        yield parabolic_from_roots(family, n, frozenset(i + 1 for i in range(top) if mask >> i & 1))
+
+
 def _all_setups(family: str, max_n: int):
-    for n in range(1, max_n + 1):
-        if family in ("A", "D") and n < 2:
-            continue
-        top = n - 1 if family == "A" else n
-        for mask in range(1 << top):
-            excluded = frozenset(i + 1 for i in range(top) if mask >> i & 1)
-            yield parabolic_from_roots(family, n, excluded)
+    for n in range(2 if family in ("A", "D") else 1, max_n + 1):
+        yield from parabolic_setups(family, n)
 
 
 def check_collapse(budget: EnumerationBudget) -> list[str]:
@@ -255,8 +258,9 @@ def check_socular(budget: EnumerationBudget, families=("A", "B", "C", "D")) -> l
             if best != du:
                 failures.append(f"{setup}: max GK {best} != dim u {du}")
                 continue
+            target = _integral_target(setup)
             for w, g in zip(dominant, gks):
-                verdict = _integral_criterion(w, setup)[0]
+                verdict = _integral_criterion(w, setup, target)[0]
                 if verdict != (g == best):
                     failures.append(
                         f"{setup}, weight {w}: criterion says {verdict}, "

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 from .errors import DomainError, IntegrityError
 from .gkdim import check_family, gk_dimension
-from .hollow import HollowShape, hollow
-from .partitions import transpose
+from .hollow import HollowShape, _hollow
+from .partitions import _transpose
 from .tableaux import rs_shape
-from .weights import double, exact_entries, is_integral
+from .weights import double, exact_entries, integer_entries
 from .zdiagram import z_diagram
 
 
@@ -116,50 +116,62 @@ def dim_nilradical(setup: ParabolicSetup) -> int:
     return n * n - levi
 
 
-def _positive_integer(v) -> bool:
-    # v is an int or a Fraction; both carry a denominator
-    return v > 0 and v.denominator == 1
+def _positive_multiple(x: int, d: int) -> bool:
+    """Whether x/d is a positive integer."""
+    return x > 0 and x % d == 0
 
 
 def is_p_dominant(weight, setup: ParabolicSetup) -> bool:
     """Whether F(lambda) is a finite-dimensional module of the Levi factor.
 
     Checked on the original excluded set: every retained simple root must pair
-    with the weight to a positive integer.
+    with the weight to a positive integer.  For reduced a/d and b/e, a/d - b/e
+    is one only when d == e and a - b is a positive multiple of d; sums alike.
     """
     w = exact_entries(weight)
     n = setup.n
     if len(w) != n:
         raise DomainError(f"weight length {len(w)} != rank {n}")
     for i in range(1, n):
-        if i not in setup.excluded and not _positive_integer(w[i - 1] - w[i]):
-            return False
+        if i not in setup.excluded:
+            a, b = w[i - 1], w[i]
+            d = a.denominator
+            if b.denominator != d or not _positive_multiple(a.numerator - b.numerator, d):
+                return False
     if setup.family != "A" and n not in setup.excluded:
+        a = w[n - 1]
+        x, d = a.numerator, a.denominator
         if setup.family == "B":
-            v = 2 * w[n - 1]
-        elif setup.family == "C":
-            v = w[n - 1]
-        else:
-            v = w[n - 2] + w[n - 1]
-        if not _positive_integer(v):
-            return False
+            return _positive_multiple(2 * x, d)
+        if setup.family == "C":
+            return _positive_multiple(x, d)
+        b = w[n - 2]
+        return b.denominator == d and _positive_multiple(b.numerator + x, d)
     return True
 
 
-def _integral_criterion(w: tuple, setup: ParabolicSetup):
-    """The combinatorial socularity test of an integral weight.
+_PARITY = {"B": "odd", "C": "odd", "D": "even"}
+
+
+def _integral_target(setup: ParabolicSetup):
+    """The setup's side of the integral socularity test: the sorted composition
+    for A, the hollow shape of the Z-diagram for B/C/D."""
+    if setup.family == "A":
+        return tuple(sorted(setup.normalized_composition, reverse=True))
+    a0, bs = z_type(setup)
+    return _hollow(z_diagram(a0, bs).shape, _PARITY[setup.family])
+
+
+def _integral_criterion(nums: tuple[int, ...], setup: ParabolicSetup, target):
+    """The integral socularity test of the weight ``nums`` against ``_integral_target(setup)``.
 
     Returns (verdict, reason, candidate hollow, target hollow).  Type A
     compares the transposed tableau shape with the sorted composition; B/C/D
-    match the hollow shape of the doubled weight against the Z-diagram.
+    match the hollow shape of the doubled weight against the Z-diagram's.
     """
     if setup.family == "A":
-        want = tuple(sorted(setup.normalized_composition, reverse=True))
-        return transpose(rs_shape(w)) == want, "typeA-shape", None, None
-    parity = "odd" if setup.family in ("B", "C") else "even"
-    a0, bs = z_type(setup)
-    candidate = hollow(rs_shape(double(w)), parity)
-    target = hollow(z_diagram(a0, bs).shape, parity)
+        return _transpose(rs_shape(nums)) == target, "typeA-shape", None, None
+    candidate = _hollow(rs_shape(double(nums)), _PARITY[setup.family])
     return candidate == target, "hollow-match", candidate, target
 
 
@@ -167,16 +179,18 @@ def is_socular(weight, setup: ParabolicSetup) -> SocularCertificate:
     """Decide whether L(lambda) lies in the socle of a generalized Verma module.
 
     Integral weights use the combinatorial criteria (tableau transpose for A,
-    hollow-shape match against the Z-diagram for B/C/D); non-integral weights
-    are decided by GK dimension reaching dim(u).
+    hollow-shape match against the Z-diagram for B/C/D) on their ints, which
+    hit the rs_shape entry of the GK call; non-integral weights are decided by
+    GK dimension reaching dim(u).
     """
     w = tuple(weight)
     if not is_p_dominant(w, setup):
         raise DomainError("L(lambda) not in O^p: weight is not p-dominant")
     gk = gk_dimension(w, setup.family)
     du = dim_nilradical(setup)
-    if is_integral(w):
-        verdict, reason, candidate, target = _integral_criterion(w, setup)
+    nums, dens = integer_entries(w)
+    if dens.count(1) == len(dens):
+        verdict, reason, candidate, target = _integral_criterion(tuple(nums), setup, _integral_target(setup))
     else:
         verdict, reason, candidate, target = gk == du, "gk-equality", None, None
     if verdict and gk != du:

@@ -20,6 +20,7 @@ EMPTY: Tableau = ()
 # batch of queries, small enough that a long-running process stays bounded
 CACHE_SIZE = 1 << 14
 
+_INT = frozenset((int,))
 _RATIONAL_TYPES = frozenset((int, Fraction))
 
 
@@ -56,21 +57,28 @@ def shape(tableau: Tableau) -> Partition:
     return sh
 
 
-def _numerators(seq: tuple) -> list[int] | None:
-    """The numerators of ``seq`` if every entry is an int or Fraction over one denominator."""
-    if not {type(v) for v in seq} <= _RATIONAL_TYPES or len({v.denominator for v in seq}) > 1:
+def _numerators(seq: tuple):
+    """``seq`` if it holds ints only, else its numerators if it holds ints and
+    Fractions over one denominator, else None."""
+    types = set(map(type, seq))
+    if types <= _INT:
+        return seq
+    if not types <= _RATIONAL_TYPES or len({v.denominator for v in seq}) > 1:
         return None
     return [v.numerator for v in seq]
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def rs_shape(seq: tuple) -> Partition:
-    """Shape of the insertion tableau of ``seq``; cached, so ``seq`` must be a tuple.
+@lru_cache(maxsize=CACHE_SIZE, typed=True)
+def rs_shape(seq: tuple, den: int = 1) -> Partition:
+    """Shape of the insertion tableau of the values ``seq[i] / den``; cached, so ``seq`` must be a tuple.
 
-    The shape depends only on the relative order of the entries, and over one
-    positive denominator the numerators are ordered as the values are, so such
-    a sequence is inserted as plain ints.
+    The shape depends only on the relative order of the entries, which one
+    positive ``den`` keeps, so ``den`` only keys the cache: numerators over
+    d > 1 pass d, and keys are equal exactly when the value sequences are.
+    Entries over one denominator are inserted as plain ints.
     """
+    if type(den) is not int or den < 1:
+        raise DomainError(f"den must be a positive int, got {den!r}")
     nums = _numerators(seq)
     if nums is None:
         return shape(rs_tableau(seq))

@@ -14,24 +14,35 @@ from .errors import DomainError
 
 Weight = tuple[Fraction, ...]
 
-_ENTRY_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_ENTRY = r"\s*-?\d+(?:/[1-9]\d*)?\s*"
+_ENTRY_RE = re.compile(_ENTRY)
+_WEIGHT_RE = re.compile(rf"{_ENTRY}(?:,{_ENTRY})*")
+
+
+def _entry(text: str) -> Fraction:
+    # text matches _ENTRY; int() ignores the surrounding whitespace
+    if "/" not in text:
+        return Fraction(int(text))
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den))
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse one entry: ``a``, ``-a`` or ``a/b`` with b > 0.  No decimals."""
-    text = text.strip()
-    if not _ENTRY_RE.match(text):
-        raise DomainError(f"not a rational literal: {text!r}")
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den or 1))
+    if not _ENTRY_RE.fullmatch(text):
+        raise DomainError(f"not a rational literal: {text.strip()!r}")
+    return _entry(text)
 
 
 def parse_weight(text: str) -> Weight:
     """Parse a comma-separated weight, e.g. ``-5,-6,-4,1/2``."""
-    toks = text.split(",")
-    if not toks or not text.strip():
+    if not text.strip():
         raise DomainError("empty weight")
-    return tuple(parse_rational(tok) for tok in toks)
+    toks = text.split(",")
+    if not _WEIGHT_RE.fullmatch(text):
+        for tok in toks:
+            parse_rational(tok)  # raises on the first bad entry
+    return tuple(map(_entry, toks))
 
 
 def format_weight(weight) -> str:
@@ -42,9 +53,9 @@ def double(weight, side: str = "back") -> tuple:
     """The doubling maps: back gives (x_1,...,x_n,-x_n,...,-x_1), front the reverse half first."""
     w = tuple(weight)
     if side == "back":
-        return w + tuple(-v for v in reversed(w))
+        return w + tuple([-v for v in reversed(w)])
     if side == "front":
-        return tuple(-v for v in reversed(w)) + w
+        return tuple([-v for v in reversed(w)]) + w
     raise DomainError(f"side must be 'back' or 'front', got {side!r}")
 
 
@@ -72,6 +83,31 @@ def _residue(f: Fraction) -> tuple[int, int]:
     """The fractional part of ``f`` as the integer pair (numerator mod d, d)."""
     d = f.denominator
     return f.numerator % d, d
+
+
+def integer_entries(weight) -> tuple[list[int], list[int]]:
+    """The numerators and the denominators of a weight's entries, checked as in :func:`exact_entries`."""
+    w = exact_entries(weight)
+    return [v.numerator for v in w], [v.denominator for v in w]
+
+
+def class_buckets(nums: list[int], dens: list[int], fold: bool) -> dict[tuple[int, int], list[int]]:
+    """0-based positions of each congruence class, keyed by the residue pair (n mod d, d).
+
+    With ``fold`` (difference-or-sum congruence) the residues r and d-r merge
+    under min(r, d-r).  Keys come in the order of each class's first position.
+    """
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i, (x, d) in enumerate(zip(nums, dens)):
+        r = x % d
+        if fold and 2 * r > d:
+            r = d - r
+        key = (r, d)
+        if key in buckets:
+            buckets[key].append(i)
+        else:
+            buckets[key] = [i]
+    return buckets
 
 
 @dataclass(frozen=True)
@@ -108,13 +144,7 @@ def congruence_decompose(weight, grouping: str) -> CongruenceSplit:
     if grouping not in ("typeA", "bcd"):
         raise DomainError(f"grouping must be 'typeA' or 'bcd', got {grouping!r}")
     w = tuple(map(_as_fraction, weight))
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i, v in enumerate(w):
-        r, d = _residue(v)
-        if grouping == "bcd":
-            # difference-or-sum congruence: fractional parts r/d and (d-r)/d merge
-            r = min(r, d - r)
-        buckets.setdefault((r, d), []).append(i)
+    buckets = class_buckets(*integer_entries(w), grouping == "bcd")
     classes = {
         key: CongruenceClass(
             positions=tuple(i + 1 for i in idxs),
@@ -123,12 +153,15 @@ def congruence_decompose(weight, grouping: str) -> CongruenceSplit:
         for key, idxs in buckets.items()
     }
     if grouping == "typeA":
-        others = tuple(sorted(classes.values(), key=lambda c: c.positions[0]))
-        return CongruenceSplit(grouping, None, None, others)
+        return CongruenceSplit(grouping, None, None, tuple(classes.values()))
     integral = classes.pop((0, 1), None)
     half = classes.pop((1, 2), None)
-    others = tuple(sorted(classes.values(), key=lambda c: c.positions[0]))
-    return CongruenceSplit(grouping, integral, half, others)
+    return CongruenceSplit(grouping, integral, half, tuple(classes.values()))
+
+
+def _tilde(vals, residue) -> tuple:
+    lead = residue(vals[0])
+    return tuple([v for v in vals if residue(v) == lead] + [-v for v in reversed(vals) if residue(v) != lead])
 
 
 def tilde(values) -> tuple:
@@ -138,13 +171,12 @@ def tilde(values) -> tuple:
     the remaining entries are negated and appended in reversed order.
     """
     vals = tuple(map(_as_fraction, values))
-    if not vals:
-        return ()
-    lead = _residue(vals[0])
-    y, z = [], []
-    for v in vals:
-        (y if _residue(v) == lead else z).append(v)
-    return tuple(y) + tuple(-v for v in reversed(z))
+    return _tilde(vals, _residue) if vals else ()
+
+
+def tilde_numerators(nums, d: int) -> tuple[int, ...]:
+    """:func:`tilde` on the numerators of a class whose entries share the denominator ``d``."""
+    return _tilde(nums, lambda x: x % d)
 
 
 def is_integral(weight) -> bool:

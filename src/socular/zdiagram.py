@@ -9,7 +9,7 @@ matters, so the b_i may be given in any order.
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .partitions import Partition, transpose
+from .partitions import Partition, _transpose
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def z_diagram(a0: int, bs) -> ZDiagram:
     for b in bs:
         heights.extend((b, b))
     heights.sort(reverse=True)
-    return ZDiagram(a0=a0, bs=bs, column_heights=tuple(heights), shape=transpose(heights))
+    return ZDiagram(a0=a0, bs=bs, column_heights=tuple(heights), shape=_transpose(tuple(heights)))
 
 
 def z_closed_forms(a0: int, bs) -> tuple[int, int]:

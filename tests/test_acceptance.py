@@ -19,7 +19,6 @@ from socular import (
     is_special,
     orbit_dimension,
     parabolic_from_composition,
-    parabolic_from_roots,
     parity_profile,
     richardson_partition,
     rs_shape,
@@ -29,7 +28,7 @@ from socular import (
     z_diagram,
 )
 from socular.hollow import f_stat_column_form
-from socular.oracles import check_collapse, check_halg, check_socular
+from socular.oracles import check_collapse, check_halg, check_socular, parabolic_setups
 from socular.parabolic import z_type
 
 from helpers import all_partitions
@@ -40,14 +39,6 @@ MAX_N = 4
 
 def _report(name: str) -> None:
     print(f"ACCEPTANCE {name}: PASS")
-
-
-def _all_setups(family, n):
-    top = n - 1 if family == "A" else n
-    for mask in range(1 << top):
-        yield parabolic_from_roots(
-            family, n, frozenset(i + 1 for i in range(top) if mask >> i & 1)
-        )
 
 
 def _ranks(family):
@@ -155,7 +146,7 @@ def test_criterion_4_richardson_specialness_and_hollow():
     for family in ("B", "C", "D"):
         parity = "odd" if family in ("B", "C") else "even"
         for n in range(2 if family == "D" else 1, 7):
-            for setup in _all_setups(family, n):
+            for setup in parabolic_setups(family, n):
                 part = richardson_partition(setup).partition
                 assert sum(part) == (2 * n + 1 if family == "B" else 2 * n)
                 assert is_orbit_partition(part, family)
@@ -172,7 +163,7 @@ def test_criterion_5_orbit_dimension_cross_check():
     )
     for family in ("A", "B", "C", "D"):
         for n in range(2 if family in ("A", "D") else 1, 7):
-            for setup in _all_setups(family, n):
+            for setup in parabolic_setups(family, n):
                 part = richardson_partition(setup).partition
                 assert orbit_dimension(part, family) == 2 * dim_nilradical(setup)
     _report("criterion 5 (orbit dimension = 2 dim u, n <= 6)")

@@ -3,8 +3,19 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from socular import DomainError, double, f_stat, gk_breakdown, gk_dimension, rs_shape
+from socular import (
+    DomainError,
+    double,
+    f_stat,
+    gk_breakdown,
+    gk_dimension,
+    is_socular,
+    parabolic_from_composition,
+    rs_shape,
+)
 from socular.oracles import gk_dimension_oracle
 
 
@@ -110,3 +121,90 @@ def test_fast_path_matches_fraction_oracle(family):
                 assert gk_dimension(w, family) == want, (family, w)
                 assert gk_dimension(tuple(F(v) for v in w), family) == want
                 assert gk_breakdown(w, family)["gkdim"] == want
+
+
+def test_classes_over_different_denominators_keep_apart_in_the_cache():
+    # (1/2, 3/2) doubles to the numerators (1, 3, -3, -1) over 2, which an
+    # integral class (1, 3) doubles to over 1: equal numerators, different values
+    rs_shape.cache_clear()
+    assert gk_dimension((F(1, 2), F(3, 2)), "B") == gk_dimension_oracle((F(1, 2), F(3, 2)), "B")
+    assert gk_dimension((1, 3), "B") == gk_dimension_oracle((1, 3), "B")
+    info = rs_shape.cache_info()
+    assert (info.hits, info.misses) == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "family, composition, weight",
+    [
+        ("A", (2, 1), (3, 1, 2)),
+        ("B", (2, 1, 1), (-5, -6, -4, 2)),
+        ("C", (2, 0), (F(4), F(-1))),
+        ("D", (1, 3, 1), (-9, -5, -6, -7, 8)),
+    ],
+)
+def test_is_socular_reuses_the_shape_of_its_gk_call(family, composition, weight):
+    setup = parabolic_from_composition(family, composition)
+    rs_shape.cache_clear()
+    is_socular(weight, setup)
+    info = rs_shape.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+_ENTRY = st.one_of(
+    st.integers(-40, 40),
+    st.builds(F, st.integers(-480, 480), st.integers(1, 12)),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(family=st.sampled_from("ABCD"), data=st.data())
+def test_gk_agrees_with_oracle_and_breakdown_on_mixed_weights(family, data):
+    n = data.draw(st.integers(2 if family in "AD" else 1, 64), label="rank")
+    w = tuple(data.draw(st.lists(_ENTRY, min_size=n, max_size=n), label="weight"))
+    want = gk_dimension_oracle(w, family)
+    assert gk_dimension(w, family) == want
+    assert gk_breakdown(w, family)["gkdim"] == want
+
+
+def test_breakdown_golden_record():
+    # the records the gkdim --json output carries, frozen on one mixed weight:
+    # integral, half-integral, a quarter class the tilde rewrite reorders, thirds
+    w = (F(1, 2), 3, F(1, 4), -2, F(3, 4), F(-5, 3), F(3, 2), F(7, 3), 0, F(-7, 4))
+    assert gk_breakdown(w, "C") == {
+        "gkdim": 97,
+        "ambient": 100,
+        "classes": [
+            {
+                "positions": [2, 4, 9],
+                "entries": ["3", "-2", "0"],
+                "sequence": ["3", "-2", "0", "0", "2", "-3"],
+                "shape": [4, 1, 1],
+                "kind": "b",
+                "f": 1,
+            },
+            {
+                "positions": [1, 7],
+                "entries": ["1/2", "3/2"],
+                "sequence": ["1/2", "3/2", "-3/2", "-1/2"],
+                "shape": [2, 2],
+                "kind": "d",
+                "f": 1,
+            },
+            {
+                "positions": [3, 5, 10],
+                "entries": ["1/4", "3/4", "-7/4"],
+                "sequence": ["1/4", "-7/4", "-3/4"],
+                "shape": [2, 1],
+                "kind": "a",
+                "f": 1,
+            },
+            {
+                "positions": [6, 8],
+                "entries": ["-5/3", "7/3"],
+                "sequence": ["-5/3", "7/3"],
+                "shape": [2],
+                "kind": "a",
+                "f": 0,
+            },
+        ],
+    }

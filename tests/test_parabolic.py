@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from itertools import product
 
@@ -12,6 +13,8 @@ from socular import (
     parabolic_from_composition,
     parabolic_from_roots,
 )
+
+from socular.oracles import parabolic_setups
 
 from helpers import levi_positive_root_count
 
@@ -115,6 +118,33 @@ def test_p_dominance_last_root_by_family():
     assert not is_p_dominant((F(3, 2), F(1, 2)), cn)  # lambda_2 = 1/2
     assert is_p_dominant((F(3, 2), F(1, 2)), dn)  # lambda_1 + lambda_2 = 2
     assert not is_p_dominant((F(5, 4), F(1, 4)), dn)  # gap 1, but sum 3/2
+
+
+def _p_dominant_by_definition(w, setup):
+    # the pairings as Fraction arithmetic, read off the simple roots
+    w = [F(v) for v in w]
+    n = setup.n
+    pairings = [w[i - 1] - w[i] for i in range(1, n) if i not in setup.excluded]
+    if setup.family != "A" and n not in setup.excluded:
+        pairings.append({"B": 2 * w[-1], "C": w[-1], "D": w[-2] + w[-1] if n > 1 else None}[setup.family])
+    return all(v > 0 and v.denominator == 1 for v in pairings)
+
+
+def test_p_dominance_matches_the_fraction_definition():
+    rng = random.Random(41)
+    for family in "ABCD":
+        for n in range(2 if family in "AD" else 1, 5):
+            for setup in parabolic_setups(family, n):
+                for _ in range(60):
+                    # steps of mixed size and denominator, so that every root
+                    # check both passes and fails, on ints and on Fractions
+                    d = rng.choice([1, 1, 2, 3, 4, 6])
+                    w = [F(rng.randint(-12, 12), d)]
+                    for _ in range(n - 1):
+                        w.append(w[-1] - F(rng.randint(-2, 4), rng.choice([1, 1, 1, d, 2, 3])))
+                    if rng.random() < 0.3:
+                        w = [int(v) if v.denominator == 1 else v for v in w]
+                    assert is_p_dominant(w, setup) == _p_dominant_by_definition(w, setup), (w, setup)
 
 
 def test_socular_paper_examples():

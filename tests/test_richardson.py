@@ -9,10 +9,10 @@ from socular import (
     is_special,
     orbit_dimension,
     parabolic_from_composition,
-    parabolic_from_roots,
     richardson_partition,
     z_diagram,
 )
+from socular.oracles import parabolic_setups
 from socular.parabolic import z_type
 
 
@@ -57,18 +57,11 @@ def test_very_even_detection():
     assert result.very_even and result.numeral == "undetermined"
 
 
-def _all_setups(family, n):
-    top = n - 1 if family == "A" else n
-    for mask in range(1 << top):
-        excluded = frozenset(i + 1 for i in range(top) if mask >> i & 1)
-        yield parabolic_from_roots(family, n, excluded)
-
-
 def test_result_is_special_with_correct_total():
     totals = {"B": lambda n: 2 * n + 1, "C": lambda n: 2 * n, "D": lambda n: 2 * n}
     for family in ("B", "C", "D"):
         for n in range(2 if family == "D" else 1, 5):
-            for setup in _all_setups(family, n):
+            for setup in parabolic_setups(family, n):
                 part = richardson_partition(setup).partition
                 assert sum(part) == totals[family](n)
                 assert is_orbit_partition(part, family)
@@ -79,7 +72,7 @@ def test_hollow_preservation_smoke():
     for family in ("B", "C", "D"):
         parity = "odd" if family in ("B", "C") else "even"
         for n in range(2 if family == "D" else 1, 5):
-            for setup in _all_setups(family, n):
+            for setup in parabolic_setups(family, n):
                 tail, blocks = z_type(setup)
                 zshape = z_diagram(tail, blocks).shape
                 part = richardson_partition(setup).partition
@@ -109,7 +102,7 @@ def test_richardson_agrees_with_h_algorithm_on_z_shape():
 
     for family in ("B", "C", "D"):
         for n in range(2 if family == "D" else 1, 7):
-            for setup in _all_setups(family, n):
+            for setup in parabolic_setups(family, n):
                 tail, blocks = z_type(setup)
                 zshape = z_diagram(tail, blocks).shape
                 assert h_algorithm(zshape, family) == richardson_partition(setup).partition
@@ -118,6 +111,6 @@ def test_richardson_agrees_with_h_algorithm_on_z_shape():
 def test_richardson_dim_is_twice_dim_u_smoke():
     for family in ("A", "B", "C", "D"):
         for n in range(2, 5):
-            for setup in _all_setups(family, n):
+            for setup in parabolic_setups(family, n):
                 part = richardson_partition(setup).partition
                 assert orbit_dimension(part, family) == 2 * dim_nilradical(setup)

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction as F
 
-from socular import double, render_tableau, rs_insert, rs_shape, rs_tableau, shape
+import pytest
+
+from socular import DomainError, double, render_tableau, rs_insert, rs_shape, rs_tableau, shape
 
 from helpers import longest_strictly_decreasing, longest_weakly_increasing
 
@@ -115,6 +117,21 @@ def test_rs_shape_fallback_matches_tableau_shape():
         cases.append(tuple(F(rng.randint(-9, 9), rng.choice(dens)) for _ in range(rng.randint(1, 14))))
     for seq in cases:
         assert rs_shape(seq) == shape(rs_tableau(seq)), seq
+
+
+def test_rs_shape_den_reads_numerators_over_one_denominator():
+    rng = random.Random(31)
+    for _ in range(300):
+        d = rng.randint(1, 12)
+        nums = tuple(rng.randint(-30, 30) for _ in range(rng.randint(0, 20)))
+        assert rs_shape(nums, d) == rs_shape(tuple(F(x, d) for x in nums)), (nums, d)
+
+
+@pytest.mark.parametrize("den", [0, -3, True, False, 2.0, F(2), "2", None])
+def test_rs_shape_rejects_a_bad_den(den):
+    rs_shape.cache_clear()
+    with pytest.raises(DomainError):
+        rs_shape((1, 3, 2), den)
 
 
 def test_rs_shape_cache_is_bounded():
