@@ -9,13 +9,6 @@ Z-diagrams, collapses) exposed.
 from .errors import DomainError, IntegrityError
 from .gkdim import FAMILIES, gk_breakdown, gk_dimension
 from .hollow import f_stat, f_stat_sequence, hollow, parity_profile, render_diagram, render_hollow
-from .oracles import (
-    EnumerationBudget,
-    collapse_oracle,
-    expand_oracle,
-    restricted_transform_oracle,
-    socular_enumeration,
-)
 from .parabolic import (
     ParabolicSetup,
     SocularCertificate,
@@ -103,3 +96,21 @@ __all__ = [
     "z_closed_forms",
     "z_diagram",
 ]
+
+# The brute-force oracles load on first use (PEP 562), so ``import socular``
+# does not pay for them.
+_ORACLE_EXPORTS = {
+    "EnumerationBudget",
+    "collapse_oracle",
+    "expand_oracle",
+    "restricted_transform_oracle",
+    "socular_enumeration",
+}
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_EXPORTS:
+        from . import oracles
+
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,14 +5,12 @@ composition, weight not p-dominant, ...), 3 internal integrity error.
 """
 
 import argparse
-import json
 import re
 import sys
 
 from .errors import DomainError, IntegrityError
 from .gkdim import gk_breakdown, gk_dimension
 from .hollow import hollow, render_diagram, render_hollow
-from .oracles import EnumerationBudget, check_collapse, check_halg, check_socular
 from .parabolic import (
     dim_nilradical,
     is_socular,
@@ -62,6 +60,8 @@ def _cells(hollow_set) -> list[list[int]]:
 
 
 def _emit(payload: dict) -> None:
+    import json
+
     print(json.dumps(payload))
 
 
@@ -242,6 +242,8 @@ def _cmd_partition_op(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracles import EnumerationBudget, check_collapse, check_halg, check_socular
+
     budget = EnumerationBudget(
         max_total=args.max_total, entry_window=(-args.window, args.window), max_n=args.max_n
     )

@@ -10,9 +10,9 @@ Each oracle validates its argument once; the partitions it enumerates come from
 unchecked kernels of :mod:`socular.partitions` and :mod:`socular.hollow`.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .errors import DomainError, IntegrityError
 from .gkdim import check_family, gk_dimension
@@ -39,8 +39,7 @@ from .tableaux import rs_tableau, shape
 from .transforms import h_algorithm, is_domino_type
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
+class EnumerationBudget(NamedTuple):
     max_total: int = 14
     entry_window: tuple[int, int] = (-3, 3)
     max_n: int = 3
@@ -174,6 +173,14 @@ def gk_dimension_oracle(weight, family: str) -> int:
     return n * n - (n if family == "D" else 0) - total
 
 
+def _check_budget(budget: EnumerationBudget) -> None:
+    """Refuse a budget under which a check would compare nothing and still pass."""
+    if budget.max_total < 0:
+        raise DomainError(f"bad budget max_total={budget.max_total}: must be at least 0")
+    if budget.max_n < 1:
+        raise DomainError(f"bad budget max_n={budget.max_n}: must be at least 1")
+
+
 def integral_weights(n: int, window: tuple[int, int]):
     """All integer weights of length ``n`` with entries in the closed window."""
     lo, hi = window
@@ -210,6 +217,7 @@ def _all_setups(family: str, max_n: int):
 
 def check_collapse(budget: EnumerationBudget) -> list[str]:
     """Compare collapse against the oracle on all parity-compatible partitions."""
+    _check_budget(budget)
     from .partitions import collapse
 
     failures = []
@@ -226,6 +234,7 @@ def check_collapse(budget: EnumerationBudget) -> list[str]:
 
 def check_halg(budget: EnumerationBudget) -> list[str]:
     """Compare the H-algorithm against the oracle on all domino-type partitions."""
+    _check_budget(budget)
     failures = []
     for total in range(0, budget.max_total + 1, 2):
         for p in partitions_of(total):
@@ -246,6 +255,7 @@ def check_socular(budget: EnumerationBudget, families=("A", "B", "C", "D")) -> l
     setup whose window holds no p-dominant weight has nothing to compare and is
     skipped.
     """
+    _check_budget(budget)
     failures = []
     for family in families:
         for setup in _all_setups(family, budget.max_n):

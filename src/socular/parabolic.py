@@ -10,7 +10,7 @@ set, while dim(u), socularity targets and Richardson data use the normalized
 composition.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, IntegrityError
 from .gkdim import check_family, gk_dimension
@@ -21,8 +21,7 @@ from .weights import double, exact_entries, integer_entries
 from .zdiagram import z_diagram
 
 
-@dataclass(frozen=True)
-class ParabolicSetup:
+class ParabolicSetup(NamedTuple):
     family: str
     n: int
     excluded: frozenset[int]
@@ -30,8 +29,7 @@ class ParabolicSetup:
     normalized_composition: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SocularCertificate:
+class SocularCertificate(NamedTuple):
     verdict: bool
     gk: int
     dim_u: int

@@ -6,7 +6,7 @@ the X-collapse of the Z-diagram shape for C and D, and for B the collapse of
 that shape with one box added at row 2*n_k + 1.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, IntegrityError
 from .gkdim import FAMILIES
@@ -15,8 +15,7 @@ from .partitions import Partition, as_partition, collapse, transpose
 from .zdiagram import z_diagram
 
 
-@dataclass(frozen=True)
-class RichardsonResult:
+class RichardsonResult(NamedTuple):
     partition: Partition
     very_even: bool
     numeral: str | None  # "undetermined" exactly when very_even

@@ -7,8 +7,8 @@ criteria are exact equalities.
 """
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -110,16 +110,14 @@ def class_buckets(nums: list[int], dens: list[int], fold: bool) -> dict[tuple[in
     return buckets
 
 
-@dataclass(frozen=True)
-class CongruenceClass:
+class CongruenceClass(NamedTuple):
     """A maximal congruent subsequence of a weight, with 1-based positions."""
 
     positions: tuple[int, ...]
     values: Weight
 
 
-@dataclass(frozen=True)
-class CongruenceSplit:
+class CongruenceSplit(NamedTuple):
     grouping: str
     integral: CongruenceClass | None
     half_integral: CongruenceClass | None

@@ -6,14 +6,13 @@ the columns are then sorted by height.  Only the column-height multiset
 matters, so the b_i may be given in any order.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 from .partitions import Partition, _transpose
 
 
-@dataclass(frozen=True)
-class ZDiagram:
+class ZDiagram(NamedTuple):
     a0: int
     bs: tuple[int, ...]
     column_heights: tuple[int, ...]

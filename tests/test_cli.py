@@ -1,7 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from socular import hollow, z_diagram
 from socular.cli import run
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _ok(capsys, argv):
@@ -165,3 +173,113 @@ def test_oracle_socular_small(capsys):
 def test_zdiagram_hollow_rendering(capsys):
     out = _ok(capsys, ["zdiagram", "--a0", "1", "--b", "2,1", "--hollow", "odd"])
     assert out.strip().splitlines() == ["5,3", ".O.O.", "O.O"]
+
+
+def test_oracle_refuses_an_empty_budget(capsys):
+    # a budget that compares nothing must not report that every comparison passed
+    assert run(["oracle", "--check", "collapse", "--max-total", "-3"]) == 2
+    assert run(["oracle", "--check", "halg", "--max-total", "-1"]) == 2
+    assert run(["oracle", "--check", "socular", "--max-n", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "all comparisons passed" not in captured.out
+    assert captured.err.count("domain error: bad budget") == 3
+
+
+# Whole output lines, byte for byte: the JSON keys, their order and their values
+# are the CLI contract.
+GOLDEN = [
+    (
+        "socular --family B --n 4 --parabolic 2,1,1 --weight -5,-6,-4,2 --json",
+        '{"socular": true, "gkdim": 14, "dim_u": 14, "reason": "hollow-match", '
+        '"odd_cells": [[1, 2], [1, 4], [2, 1], [2, 3]], "target_odd_cells": [[1, 2], [1, 4], [2, 1], [2, 3]]}',
+    ),
+    (
+        "socular --family D --n 5 --excluded 1,4 --weight -9,-5,-6,-7,8 --json",
+        '{"socular": true, "gkdim": 14, "dim_u": 14, "reason": "hollow-match", '
+        '"even_cells": [[1, 1], [1, 3], [2, 2], [3, 1], [4, 2]], '
+        '"target_even_cells": [[1, 1], [1, 3], [2, 2], [3, 1], [4, 2]]}',
+    ),
+    (
+        "socular --family C --n 3 --parabolic 2,1 --weight 3,2,1 --json",
+        '{"socular": false, "gkdim": 0, "dim_u": 7, "reason": "hollow-match", '
+        '"odd_cells": [[2, 1], [4, 1], [6, 1]], "target_odd_cells": [[1, 2], [2, 1], [2, 3]]}',
+    ),
+    (
+        "socular --family B --n 3 --parabolic 2,1 --weight 1/3,-2/3,5 --json",
+        '{"socular": true, "gkdim": 7, "dim_u": 7, "reason": "gk-equality"}',
+    ),
+    (
+        "socular --family A --n 3 --parabolic 2,1 --weight 3,2,1 --json",
+        '{"socular": false, "gkdim": 0, "dim_u": 2, "reason": "typeA-shape"}',
+    ),
+    (
+        "socular --family A --n 3 --parabolic 2,1 --weight 1,0,5 --json",
+        '{"socular": true, "gkdim": 2, "dim_u": 2, "reason": "typeA-shape"}',
+    ),
+    (
+        "richardson --family D --n 4 --parabolic 2,2,0 --json",
+        '{"richardson": [4, 4], "very_even": true, "numeral": "undetermined", "dim_orbit": 20}',
+    ),
+    (
+        "richardson --family B --n 11 --parabolic 1,3,5,2 --json",
+        '{"richardson": [7, 5, 5, 3, 3], "very_even": false, "numeral": null, "dim_orbit": 208}',
+    ),
+    (
+        "richardson --family C --n 5 --parabolic 2,3,0 --json",
+        '{"richardson": [4, 4, 2], "very_even": false, "numeral": null, "dim_orbit": 42}',
+    ),
+    (
+        "richardson --family A --n 6 --parabolic 3,1,2 --json",
+        '{"richardson": [3, 2, 1], "very_even": false, "numeral": null, "dim_orbit": 22}',
+    ),
+    (
+        "parabolic --family D --n 5 --excluded 1,4 --json",
+        '{"composition": [1, 3, 1], "normalized_composition": [1, 4, 0], "excluded": [1, 4], "dim_u": 14}',
+    ),
+    (
+        "parabolic --family B --n 6 --parabolic 2,1,3,0 --json",
+        '{"composition": [2, 1, 3, 0], "normalized_composition": [2, 1, 3, 0], "excluded": [2, 3, 6], "dim_u": 32}',
+    ),
+    (
+        "zdiagram --a0 1 --b 2,1 --json",
+        '{"shape": [5, 3], "odd_cells": [[1, 2], [1, 4], [2, 1], [2, 3]], '
+        '"even_cells": [[1, 1], [1, 3], [1, 5], [2, 2]]}',
+    ),
+    (
+        "zdiagram --a0 0 --b 3 --json",
+        '{"shape": [2, 2, 2], "odd_cells": [[1, 2], [2, 1], [3, 2]], "even_cells": [[1, 1], [2, 2], [3, 1]]}',
+    ),
+    (
+        "gkdim --family C --n 4 --weight 1/2,1,1/4,3/4 --json",
+        '{"gkdim": 14, "ambient": 16, "classes": ['
+        '{"positions": [2], "entries": ["1"], "sequence": ["1", "-1"], "shape": [1, 1], "kind": "b", "f": 1}, '
+        '{"positions": [1], "entries": ["1/2"], "sequence": ["1/2", "-1/2"], "shape": [1, 1], "kind": "d", "f": 0}, '
+        '{"positions": [3, 4], "entries": ["1/4", "3/4"], "sequence": ["1/4", "-3/4"], "shape": [1, 1], '
+        '"kind": "a", "f": 1}]}',
+    ),
+    (
+        "gkdim --family A --n 4 --weight 1/3,2,4/3,0 --json",
+        '{"gkdim": 5, "ambient": 6, "classes": ['
+        '{"positions": [1, 3], "entries": ["1/3", "4/3"], "sequence": ["1/3", "4/3"], "shape": [2], "kind": "a", "f": 0}, '
+        '{"positions": [2, 4], "entries": ["2", "0"], "sequence": ["2", "0"], "shape": [1, 1], "kind": "a", "f": 1}]}',
+    ),
+    ("oracle --check socular --max-n 2 --window 2", "socular: all comparisons passed"),
+]
+
+
+@pytest.mark.parametrize("argv, line", GOLDEN, ids=[argv for argv, _ in GOLDEN])
+def test_output_matches_golden(capsys, argv, line):
+    assert _ok(capsys, argv.split()) == line + "\n"
+
+
+def _fresh_modules(statement: str, names) -> list[str]:
+    """Which of ``names`` a new interpreter has in ``sys.modules`` after ``statement``."""
+    code = f"import sys; {statement}; print(' '.join(m for m in {list(names)!r} if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return proc.stdout.split()
+
+
+def test_cli_import_leaves_out_what_its_subcommands_may_not_need():
+    assert _fresh_modules("import socular.cli", ["dataclasses", "inspect", "socular.oracles", "json"]) == []
+    assert _fresh_modules("import socular", ["dataclasses", "socular.oracles"]) == []

@@ -13,7 +13,7 @@ from socular import (
     socular_enumeration,
 )
 from socular import gkdim, oracles
-from socular.oracles import check_socular, integral_weights
+from socular.oracles import check_collapse, check_halg, check_socular, integral_weights
 from socular.partitions import ORBIT_FAMILIES, partitions_of
 
 
@@ -83,6 +83,21 @@ def test_budget_rank_guard():
     setup = parabolic_from_composition("B", (2, 1, 1))
     with pytest.raises(DomainError):
         socular_enumeration(setup, EnumerationBudget(max_n=3))
+
+
+@pytest.mark.parametrize("check", [check_collapse, check_halg, check_socular])
+@pytest.mark.parametrize(
+    "budget, field",
+    [(EnumerationBudget(max_total=-3), "max_total"), (EnumerationBudget(max_n=0), "max_n")],
+)
+def test_checks_refuse_a_budget_that_compares_nothing(check, budget, field):
+    with pytest.raises(DomainError, match=f"bad budget {field}="):
+        check(budget)
+
+
+def test_checks_accept_the_smallest_budget():
+    smallest = EnumerationBudget(max_total=0, entry_window=(0, 0), max_n=1)
+    assert check_collapse(smallest) == check_halg(smallest) == check_socular(smallest) == []
 
 
 def test_check_socular_skips_window_without_dominant_weight():

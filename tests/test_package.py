@@ -1,0 +1,131 @@
+"""The package surface: lazy oracle exports and the immutable result records."""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import socular
+from socular import (
+    CongruenceClass,
+    EnumerationBudget,
+    SocularCertificate,
+    congruence_decompose,
+    is_socular,
+    parabolic_from_composition,
+    richardson_partition,
+    z_diagram,
+)
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+ORACLE_EXPORTS = (
+    "EnumerationBudget",
+    "collapse_oracle",
+    "expand_oracle",
+    "restricted_transform_oracle",
+    "socular_enumeration",
+)
+
+
+def test_every_exported_name_resolves():
+    from socular import oracles
+
+    for name in socular.__all__:
+        assert getattr(socular, name) is not None, name
+    for name in ORACLE_EXPORTS:
+        assert name in socular.__all__
+        assert getattr(socular, name) is getattr(oracles, name)
+
+
+def test_star_import_binds_every_export():
+    code = (
+        "from socular import *; import socular; "
+        "missing = [n for n in socular.__all__ if n not in globals()]; print(missing)"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_unknown_attribute_raises_the_usual_error():
+    with pytest.raises(AttributeError, match=r"^module 'socular' has no attribute 'no_such_name'$"):
+        socular.no_such_name
+    assert not hasattr(socular, "check_socular")  # only the exported oracle names resolve lazily
+
+
+def _records():
+    setup = parabolic_from_composition("B", (2, 1, 1))
+    cls = CongruenceClass(positions=(1, 3), values=(Fraction(1, 2), Fraction(-3, 2)))
+    return [
+        (cls, ("positions", "values")),
+        (
+            congruence_decompose((Fraction(1, 2), 2, Fraction(-3, 2), Fraction(1, 3)), "bcd"),
+            ("grouping", "integral", "half_integral", "others"),
+        ),
+        (setup, ("family", "n", "excluded", "composition", "normalized_composition")),
+        (
+            is_socular((-5, -6, -4, 2), setup),
+            ("verdict", "gk", "dim_u", "reason", "candidate_hollow", "target_hollow"),
+        ),
+        (richardson_partition(parabolic_from_composition("D", (2, 2, 0))), ("partition", "very_even", "numeral")),
+        (z_diagram(1, (2, 1)), ("a0", "bs", "column_heights", "shape")),
+        (EnumerationBudget(), ("max_total", "entry_window", "max_n")),
+    ]
+
+
+RECORDS = _records()
+IDS = [type(rec).__name__ for rec, _ in RECORDS]
+
+
+@pytest.mark.parametrize("rec, fields", RECORDS, ids=IDS)
+def test_record_fields_cannot_be_assigned(rec, fields):
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, field, getattr(rec, field))
+
+
+@pytest.mark.parametrize("rec, fields", RECORDS, ids=IDS)
+def test_equal_fields_give_equal_records(rec, fields):
+    values = [getattr(rec, f) for f in fields]
+    twin = type(rec)(**dict(zip(fields, values)))
+    assert twin == rec and hash(twin) == hash(rec)
+    # named tuples: they unpack, and equal a plain tuple of the same values
+    assert list(rec) == values and rec == tuple(values)
+
+
+@pytest.mark.parametrize("rec, fields", RECORDS, ids=IDS)
+def test_record_repr_names_every_field(rec, fields):
+    body = ", ".join(f"{f}={getattr(rec, f)!r}" for f in fields)
+    assert repr(rec) == f"{type(rec).__name__}({body})"
+
+
+# record reprs appear in oracle failure lines, so their format is kept exactly
+REPR_GOLDEN = {
+    "CongruenceClass": "CongruenceClass(positions=(1, 3), values=(Fraction(1, 2), Fraction(-3, 2)))",
+    "CongruenceSplit": (
+        "CongruenceSplit(grouping='bcd', integral=CongruenceClass(positions=(2,), values=(Fraction(2, 1),)), "
+        "half_integral=CongruenceClass(positions=(1, 3), values=(Fraction(1, 2), Fraction(-3, 2))), "
+        "others=(CongruenceClass(positions=(4,), values=(Fraction(1, 3),)),))"
+    ),
+    "ParabolicSetup": (
+        "ParabolicSetup(family='B', n=4, excluded=frozenset({2, 3}), composition=(2, 1, 1), "
+        "normalized_composition=(2, 1, 1))"
+    ),
+    "RichardsonResult": "RichardsonResult(partition=(4, 4), very_even=True, numeral='undetermined')",
+    "ZDiagram": "ZDiagram(a0=1, bs=(2, 1), column_heights=(2, 2, 2, 1, 1), shape=(5, 3))",
+    "EnumerationBudget": "EnumerationBudget(max_total=14, entry_window=(-3, 3), max_n=3)",
+}
+
+
+def test_record_repr_golden():
+    reprs = {type(rec).__name__: repr(rec) for rec, _ in RECORDS}
+    for name, line in REPR_GOLDEN.items():
+        assert reprs[name] == line
+
+
+def test_certificate_hollow_fields_default_to_none():
+    cert = SocularCertificate(verdict=True, gk=7, dim_u=7, reason="gk-equality")
+    assert cert.candidate_hollow is None and cert.target_hollow is None
