@@ -6,111 +6,78 @@ partition, with all intermediate objects (tableaux, hollow diagrams,
 Z-diagrams, collapses) exposed.
 """
 
-from .errors import DomainError, IntegrityError
-from .gkdim import FAMILIES, gk_breakdown, gk_dimension
-from .hollow import f_stat, f_stat_sequence, hollow, parity_profile, render_diagram, render_hollow
-from .parabolic import (
-    ParabolicSetup,
-    SocularCertificate,
-    dim_nilradical,
-    is_p_dominant,
-    is_socular,
-    parabolic_from_composition,
-    parabolic_from_roots,
-)
-from .partitions import (
-    collapse,
-    dominates,
-    expand,
-    is_orbit_partition,
-    is_special,
-    parse_partition,
-    partitions_of,
-    transpose,
-)
-from .richardson import RichardsonResult, orbit_dimension, richardson_partition
-from .tableaux import render_tableau, rs_insert, rs_shape, rs_tableau, shape
-from .transforms import h_algorithm, is_domino_type, two_core
-from .weights import (
-    CongruenceClass,
-    CongruenceSplit,
-    congruence_decompose,
-    double,
-    is_integral,
-    parse_weight,
-    tilde,
-)
-from .zdiagram import ZDiagram, z_closed_forms, z_diagram
+from importlib import import_module
 
-__all__ = [
-    "DomainError",
-    "IntegrityError",
-    "FAMILIES",
-    "gk_breakdown",
-    "gk_dimension",
-    "f_stat",
-    "f_stat_sequence",
-    "hollow",
-    "parity_profile",
-    "render_diagram",
-    "render_hollow",
-    "EnumerationBudget",
-    "collapse_oracle",
-    "expand_oracle",
-    "restricted_transform_oracle",
-    "socular_enumeration",
-    "ParabolicSetup",
-    "SocularCertificate",
-    "dim_nilradical",
-    "is_p_dominant",
-    "is_socular",
-    "parabolic_from_composition",
-    "parabolic_from_roots",
-    "collapse",
-    "dominates",
-    "expand",
-    "is_orbit_partition",
-    "is_special",
-    "parse_partition",
-    "partitions_of",
-    "transpose",
-    "RichardsonResult",
-    "orbit_dimension",
-    "richardson_partition",
-    "render_tableau",
-    "rs_insert",
-    "rs_shape",
-    "rs_tableau",
-    "shape",
-    "h_algorithm",
-    "is_domino_type",
-    "two_core",
-    "CongruenceClass",
-    "CongruenceSplit",
-    "congruence_decompose",
-    "double",
-    "is_integral",
-    "parse_weight",
-    "tilde",
-    "ZDiagram",
-    "z_closed_forms",
-    "z_diagram",
-]
+# ``hollow`` names both a submodule and one of its functions.  Importing the
+# submodule sets ``socular.hollow`` to the module, but only on its first
+# import, so binding the function here, before anything else can import the
+# submodule, keeps ``socular.hollow`` the function in every import order.
+from .hollow import hollow
 
-# The brute-force oracles load on first use (PEP 562), so ``import socular``
-# does not pay for them.
-_ORACLE_EXPORTS = {
-    "EnumerationBudget",
-    "collapse_oracle",
-    "expand_oracle",
-    "restricted_transform_oracle",
-    "socular_enumeration",
+# Each module with the public names it exports.  A name resolves on first use
+# (PEP 562): its module is imported and all of that module's names are bound
+# here, after which they are plain module globals.
+_EXPORTS = {
+    "errors": ("DomainError", "IntegrityError"),
+    "gkdim": ("FAMILIES", "gk_breakdown", "gk_dimension"),
+    "hollow": ("f_stat", "f_stat_sequence", "hollow", "parity_profile", "render_diagram", "render_hollow"),
+    "oracles": (
+        "EnumerationBudget",
+        "collapse_oracle",
+        "expand_oracle",
+        "restricted_transform_oracle",
+        "socular_enumeration",
+    ),
+    "parabolic": (
+        "ParabolicSetup",
+        "SocularCertificate",
+        "dim_nilradical",
+        "is_p_dominant",
+        "is_socular",
+        "parabolic_from_composition",
+        "parabolic_from_roots",
+    ),
+    "partitions": (
+        "collapse",
+        "dominates",
+        "expand",
+        "is_orbit_partition",
+        "is_special",
+        "parse_partition",
+        "partitions_of",
+        "transpose",
+    ),
+    "richardson": ("RichardsonResult", "orbit_dimension", "richardson_partition"),
+    "tableaux": ("render_tableau", "rs_insert", "rs_shape", "rs_tableau", "shape"),
+    "transforms": ("h_algorithm", "is_domino_type", "two_core"),
+    "weights": (
+        "CongruenceClass",
+        "CongruenceSplit",
+        "congruence_decompose",
+        "double",
+        "is_integral",
+        "parse_weight",
+        "tilde",
+    ),
+    "zdiagram": ("ZDiagram", "z_closed_forms", "z_diagram"),
 }
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
 def __getattr__(name: str):
-    if name in _ORACLE_EXPORTS:
-        from . import oracles
-
-        return getattr(oracles, name)
+    """Bind the names of the module that exports ``name``, or import the submodule ``name``, on first use."""
+    if name in _MODULE_OF:
+        source = _MODULE_OF[name]
+        module = import_module(f"{__name__}.{source}")
+        globals().update((export, getattr(module, export)) for export in _EXPORTS[source])
+        return globals()[name]
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__})

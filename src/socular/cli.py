@@ -8,21 +8,9 @@ import argparse
 import re
 import sys
 
-from .errors import DomainError, IntegrityError
-from .gkdim import gk_breakdown, gk_dimension
-from .hollow import hollow, render_diagram, render_hollow
-from .parabolic import (
-    dim_nilradical,
-    is_socular,
-    parabolic_from_composition,
-    parabolic_from_roots,
-)
-from .partitions import as_partition, collapse, expand, format_partition, transpose
-from .richardson import orbit_dimension, richardson_partition
-from .tableaux import render_tableau, rs_tableau, shape
-from .transforms import h_algorithm
-from .weights import double, parse_weight
-from .zdiagram import z_diagram
+import socular
+
+from .partitions import format_partition
 
 USAGE_ERROR, DOMAIN_ERROR, INTEGRITY_ERROR = 1, 2, 3
 
@@ -50,8 +38,8 @@ def _csv_ints(text: str) -> list[int]:
 
 def _weight(text: str):
     try:
-        return parse_weight(text)
-    except DomainError as exc:
+        return socular.parse_weight(text)
+    except socular.DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
@@ -71,15 +59,15 @@ def _add_family(parser, required=True):
 
 def _setup_from_args(args):
     if getattr(args, "parabolic", None) is not None and getattr(args, "excluded", None) is not None:
-        raise DomainError("give either --parabolic or --excluded, not both")
+        raise socular.DomainError("give either --parabolic or --excluded, not both")
     if getattr(args, "parabolic", None) is not None:
-        setup = parabolic_from_composition(args.family, tuple(args.parabolic))
+        setup = socular.parabolic_from_composition(args.family, tuple(args.parabolic))
         if setup.n != args.n:
-            raise DomainError(f"composition sums to {setup.n}, but --n is {args.n}")
+            raise socular.DomainError(f"composition sums to {setup.n}, but --n is {args.n}")
         return setup
     if getattr(args, "excluded", None) is not None:
-        return parabolic_from_roots(args.family, args.n, set(args.excluded))
-    raise DomainError("one of --parabolic or --excluded is required")
+        return socular.parabolic_from_roots(args.family, args.n, set(args.excluded))
+    raise socular.DomainError("one of --parabolic or --excluded is required")
 
 
 def build_parser() -> _Parser:
@@ -128,28 +116,28 @@ def build_parser() -> _Parser:
 
 
 def _cmd_tableau(args) -> int:
-    seq = args.weight if args.double is None else double(args.weight, args.double)
-    tab = rs_tableau(seq)
+    seq = args.weight if args.double is None else socular.double(args.weight, args.double)
+    tab = socular.rs_tableau(seq)
     if args.json:
-        _emit({"shape": list(shape(tab)), "rows": [[str(v) for v in row] for row in tab]})
+        _emit({"shape": list(socular.shape(tab)), "rows": [[str(v) for v in row] for row in tab]})
     else:
-        print(render_tableau(tab))
+        print(socular.render_tableau(tab))
     return 0
 
 
 def _cmd_gkdim(args) -> int:
     if len(args.weight) != args.n:
-        raise DomainError(f"weight has {len(args.weight)} entries, --n is {args.n}")
+        raise socular.DomainError(f"weight has {len(args.weight)} entries, --n is {args.n}")
     if args.json:
-        _emit(gk_breakdown(args.weight, args.family))
+        _emit(socular.gk_breakdown(args.weight, args.family))
     else:
-        print(gk_dimension(args.weight, args.family))
+        print(socular.gk_dimension(args.weight, args.family))
     return 0
 
 
 def _cmd_socular(args) -> int:
     setup = _setup_from_args(args)
-    cert = is_socular(args.weight, setup)
+    cert = socular.is_socular(args.weight, setup)
     if args.json:
         payload = {
             "socular": cert.verdict,
@@ -170,9 +158,9 @@ def _cmd_socular(args) -> int:
 def _cmd_dimu(args) -> int:
     setup = _setup_from_args(args)
     if args.json:
-        _emit({"dim_u": dim_nilradical(setup)})
+        _emit({"dim_u": socular.dim_nilradical(setup)})
     else:
-        print(dim_nilradical(setup))
+        print(socular.dim_nilradical(setup))
     return 0
 
 
@@ -184,26 +172,26 @@ def _cmd_parabolic(args) -> int:
                 "composition": list(setup.composition),
                 "normalized_composition": list(setup.normalized_composition),
                 "excluded": sorted(setup.excluded),
-                "dim_u": dim_nilradical(setup),
+                "dim_u": socular.dim_nilradical(setup),
             }
         )
     else:
         print(f"composition: {format_partition(setup.composition)}")
         print(f"normalized: {format_partition(setup.normalized_composition)}")
-        print(f"dim_u: {dim_nilradical(setup)}")
+        print(f"dim_u: {socular.dim_nilradical(setup)}")
     return 0
 
 
 def _cmd_richardson(args) -> int:
     setup = _setup_from_args(args)
-    result = richardson_partition(setup)
+    result = socular.richardson_partition(setup)
     if args.json:
         _emit(
             {
                 "richardson": list(result.partition),
                 "very_even": result.very_even,
                 "numeral": result.numeral,
-                "dim_orbit": orbit_dimension(result.partition, setup.family),
+                "dim_orbit": socular.orbit_dimension(result.partition, setup.family),
             }
         )
     else:
@@ -212,30 +200,29 @@ def _cmd_richardson(args) -> int:
 
 
 def _cmd_zdiagram(args) -> int:
-    zd = z_diagram(args.a0, tuple(args.b))
+    zd = socular.z_diagram(args.a0, tuple(args.b))
     if args.json:
         _emit(
             {
                 "shape": list(zd.shape),
-                "odd_cells": _cells(hollow(zd.shape, "odd")),
-                "even_cells": _cells(hollow(zd.shape, "even")),
+                "odd_cells": _cells(socular.hollow(zd.shape, "odd")),
+                "even_cells": _cells(socular.hollow(zd.shape, "even")),
             }
         )
     else:
         print(format_partition(zd.shape))
         if args.hollow:
-            print(render_hollow(zd.shape, args.hollow))
+            print(socular.render_hollow(zd.shape, args.hollow))
         else:
-            print(render_diagram(zd.shape))
+            print(socular.render_diagram(zd.shape))
     return 0
 
 
 def _cmd_partition_op(args) -> int:
-    p = as_partition(args.partition)
-    ops = {"halg": h_algorithm, "collapse": collapse, "expand": expand}
-    result = ops[args.command](p, args.family)
+    op = getattr(socular, "h_algorithm" if args.command == "halg" else args.command)
+    result = op(args.partition, args.family)
     if args.json:
-        _emit({"shape": list(result), "transpose": list(transpose(result))})
+        _emit({"shape": list(result), "transpose": list(socular.transpose(result))})
     else:
         print(format_partition(result))
     return 0
@@ -282,10 +269,10 @@ def run(argv=None) -> int:
         return USAGE_ERROR
     try:
         return _COMMANDS[args.command](args)
-    except DomainError as exc:
+    except socular.DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
-    except IntegrityError as exc:
+    except socular.IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return INTEGRITY_ERROR
 

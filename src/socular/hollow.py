@@ -119,11 +119,6 @@ def render_diagram(p) -> str:
 
 def render_hollow(p, parity: str) -> str:
     """Like :func:`render_diagram` but with the suppressed parity drawn as dots."""
-    p = as_partition(p)
+    grid = render_diagram(p)
     _check_parity(parity)
-    keep = "O" if parity == "odd" else "E"
-    rows = []
-    for k, length in enumerate(p, 1):
-        cells = ("E" if (k + l) % 2 == 0 else "O" for l in range(1, length + 1))
-        rows.append("".join(c if c == keep else "." for c in cells))
-    return "\n".join(rows)
+    return grid.replace("E" if parity == "odd" else "O", ".")

@@ -253,15 +253,17 @@ def check_socular(budget: EnumerationBudget, families=("A", "B", "C", "D")) -> l
     GK dimension is computed once per p-dominant weight; the verdict comes from
     the combinatorial criterion alone (every window weight is integral).  A
     setup whose window holds no p-dominant weight has nothing to compare and is
-    skipped.
+    skipped; a call in which no setup compares anything raises ``DomainError``.
     """
     _check_budget(budget)
     failures = []
+    compared = 0
     for family in families:
         for setup in _all_setups(family, budget.max_n):
             dominant = _dominant_weights(setup, budget)
             if not dominant:
                 continue
+            compared += 1
             gks = [gk_dimension(w, family) for w in dominant]
             best = max(gks)
             du = dim_nilradical(setup)
@@ -276,4 +278,9 @@ def check_socular(budget: EnumerationBudget, families=("A", "B", "C", "D")) -> l
                         f"{setup}, weight {w}: criterion says {verdict}, "
                         f"gk attainment says {g == best}"
                     )
+    if not compared:
+        raise DomainError(
+            f"nothing to compare: no setup of families {tuple(families)} up to rank {budget.max_n} "
+            f"has a p-dominant weight in the window {budget.entry_window}"
+        )
     return failures

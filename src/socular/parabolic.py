@@ -10,6 +10,8 @@ set, while dim(u), socularity targets and Richardson data use the normalized
 composition.
 """
 
+from itertools import accumulate
+from operator import sub
 from typing import NamedTuple
 
 from .errors import DomainError, IntegrityError
@@ -52,20 +54,13 @@ def parabolic_from_roots(family: str, n: int, excluded) -> ParabolicSetup:
     for i in excluded:
         if not isinstance(i, int) or i < 1 or i > top:
             raise DomainError(f"excluded root index {i!r} outside 1..{top} for {family}{n}")
-    cuts = sorted(i for i in excluded if i <= n - 1)
-    blocks = tuple(b - a for a, b in zip([0] + cuts, cuts))
-    rest = n - (cuts[-1] if cuts else 0)
-    if family != "A" and n in excluded:
-        composition = blocks + (rest, 0)
-    else:
-        composition = blocks + (rest,)
-    return ParabolicSetup(
-        family=family,
-        n=n,
-        excluded=excluded,
-        composition=composition,
-        normalized_composition=_normalize(family, composition),
-    )
+    cuts = sorted(excluded)
+    tail = ()
+    if cuts and cuts[-1] == n:  # only B/C/D may exclude alpha_n: a zero tail block
+        cuts.pop()
+        tail = (0,)
+    composition = (*map(sub, cuts, [0, *cuts]), n - (cuts[-1] if cuts else 0), *tail)
+    return ParabolicSetup(family, n, excluded, composition, _normalize(family, composition))
 
 
 def parabolic_from_composition(family: str, composition) -> ParabolicSetup:
@@ -78,20 +73,7 @@ def parabolic_from_composition(family: str, composition) -> ParabolicSetup:
             raise DomainError(f"composition parts must be non-negative integers: {composition}")
         if v == 0 and (family == "A" or i != len(composition) - 1):
             raise DomainError(f"only the last part of a B/C/D composition may be 0: {composition}")
-    n = sum(composition)
-    check_family(family, n)
-    prefix = 0
-    excluded = set()
-    for v in composition[:-1]:
-        prefix += v
-        excluded.add(prefix)
-    return ParabolicSetup(
-        family=family,
-        n=n,
-        excluded=frozenset(excluded),
-        composition=composition,
-        normalized_composition=_normalize(family, composition),
-    )
+    return parabolic_from_roots(family, sum(composition), accumulate(composition[:-1]))
 
 
 def z_type(setup: ParabolicSetup) -> tuple[int, tuple[int, ...]]:

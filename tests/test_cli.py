@@ -277,9 +277,21 @@ def _fresh_modules(statement: str, names) -> list[str]:
     code = f"import sys; {statement}; print(' '.join(m for m in {list(names)!r} if m in sys.modules))"
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return proc.stdout.split()
+    return proc.stdout.splitlines()[-1].split()
+
+
+# subcommands that need no weight, GK dimension or parabolic
+PARTITION_ONLY = [
+    ["zdiagram", "--a0", "1", "--b", "2,1"],
+    ["collapse", "--partition", "5,3", "--family", "C"],
+    ["expand", "--partition", "4,4,3,3,3", "--family", "B"],
+]
 
 
 def test_cli_import_leaves_out_what_its_subcommands_may_not_need():
     assert _fresh_modules("import socular.cli", ["dataclasses", "inspect", "socular.oracles", "json"]) == []
-    assert _fresh_modules("import socular", ["dataclasses", "socular.oracles"]) == []
+    lazy = ["socular.weights", "socular.gkdim", "socular.parabolic", "socular.oracles"]
+    unused = ["dataclasses", *lazy, "socular.zdiagram", "socular.richardson", "socular.transforms", "socular.cli"]
+    assert _fresh_modules("import socular", unused) == []
+    for argv in PARTITION_ONLY:
+        assert _fresh_modules(f"from socular.cli import run; assert run({argv!r}) == 0", lazy) == [], argv

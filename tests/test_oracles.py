@@ -100,6 +100,13 @@ def test_checks_accept_the_smallest_budget():
     assert check_collapse(smallest) == check_halg(smallest) == check_socular(smallest) == []
 
 
+@pytest.mark.parametrize("families", [("A", "D"), ()])
+def test_check_socular_refuses_families_that_compare_nothing(families):
+    # A and D setups start at rank 2, so at max_n 1 they have no setup to compare
+    with pytest.raises(DomainError, match="^nothing to compare"):
+        check_socular(EnumerationBudget(max_n=1), families=families)
+
+
 def test_check_socular_skips_window_without_dominant_weight():
     # B3 with composition (3,) needs x1 > x2 > x3 > 0: nothing inside +-2
     setup = parabolic_from_composition("B", (3,))

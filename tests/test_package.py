@@ -1,5 +1,6 @@
-"""The package surface: lazy oracle exports and the immutable result records."""
+"""The package surface: lazy exports and the immutable result records."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -20,7 +21,8 @@ from socular import (
     z_diagram,
 )
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 ORACLE_EXPORTS = (
     "EnumerationBudget",
     "collapse_oracle",
@@ -40,14 +42,46 @@ def test_every_exported_name_resolves():
         assert getattr(socular, name) is getattr(oracles, name)
 
 
+def _fresh(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
+
+
 def test_star_import_binds_every_export():
     code = (
         "from socular import *; import socular; "
         "missing = [n for n in socular.__all__ if n not in globals()]; print(missing)"
     )
-    env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert _fresh(code) == "[]"
+
+
+def test_bare_import_keeps_submodules_and_dir():
+    code = (
+        "import socular; "
+        "print(hasattr(socular, 'gkdim'), hasattr(socular, 'tableaux'), set(socular.__all__) <= set(dir(socular)))"
+    )
+    assert _fresh(code) == "True True True"
+
+
+def _bench_import() -> str:
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    return next(ast.unparse(n) for n in tree.body if isinstance(n, ast.ImportFrom) and n.module == "socular")
+
+
+# ``socular.hollow`` is a submodule and a function of it; the function must win
+IMPORT_ORDERS = {
+    "submodule-first": "import socular.hollow",
+    "parabolic-first": "import socular.parabolic",
+    "bench-imports": _bench_import(),
+}
+
+
+@pytest.mark.parametrize("statement", IMPORT_ORDERS.values(), ids=IMPORT_ORDERS)
+def test_hollow_is_the_function_in_every_import_order(statement):
+    code = f"{statement}; import socular, sys; print(socular.hollow is sys.modules['socular.hollow'].hollow)"
+    assert _fresh(code) == "True"
 
 
 def test_unknown_attribute_raises_the_usual_error():
