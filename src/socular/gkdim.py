@@ -24,6 +24,8 @@ _CLASS_KINDS = {"B": ("b", "b"), "C": ("b", "d"), "D": ("d", "d")}
 def check_family(family: str, n: int) -> None:
     if family not in FAMILIES:
         raise DomainError(f"family must be one of {FAMILIES}, got {family!r}")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise DomainError(f"rank must be an int, got {n!r}")
     if n < 1:
         raise DomainError("rank must be positive")
     if family in ("A", "D") and n < 2:
@@ -65,13 +67,13 @@ def _fmt(x: int, d: int) -> str:
     return str(x) if d == 1 else f"{x}/{d}"
 
 
-def _gk(weight, family: str, records: list | None = None) -> tuple[int, int]:
-    """(GK dimension, ambient dimension); with ``records``, one record per class is appended.
+def _gk(nums: list[int], dens: list[int], family: str, records: list | None = None) -> tuple[int, int]:
+    """(GK dimension, ambient dimension) of the weight ``integer_entries`` read as ``nums, dens``;
+    with ``records``, one record per class is appended.
 
     Each class's numerators go to :func:`rs_shape`, with its denominator d
     passed only when d > 1, so that it keys apart from an integral class.
     """
-    nums, dens = integer_entries(weight)
     n = len(nums)
     check_family(family, n)
     ambient = _ambient(family, n)
@@ -102,10 +104,10 @@ def gk_breakdown(weight, family: str) -> dict:
     and the subtracted amount.
     """
     records: list[dict] = []
-    gk, ambient = _gk(weight, family, records)
+    gk, ambient = _gk(*integer_entries(weight), family, records)
     return {"gkdim": gk, "ambient": ambient, "classes": records}
 
 
 def gk_dimension(weight, family: str) -> int:
     """GK dimension of L(lambda) for lambda = ``weight`` in the given family."""
-    return _gk(weight, family)[0]
+    return _gk(*integer_entries(weight), family)[0]

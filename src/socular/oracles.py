@@ -21,8 +21,8 @@ from .parabolic import (
     ParabolicSetup,
     _integral_criterion,
     _integral_target,
+    _p_dominant,
     dim_nilradical,
-    is_p_dominant,
     parabolic_from_roots,
 )
 from .partitions import (
@@ -192,7 +192,8 @@ def integral_weights(n: int, window: tuple[int, int]):
 def _dominant_weights(setup: ParabolicSetup, budget: EnumerationBudget) -> list[tuple[int, ...]]:
     if setup.n > budget.max_n:
         raise DomainError(f"rank {setup.n} exceeds budget max_n={budget.max_n}")
-    return [w for w in integral_weights(setup.n, budget.entry_window) if is_p_dominant(w, setup)]
+    ones = [1] * setup.n
+    return [w for w in integral_weights(setup.n, budget.entry_window) if _p_dominant(w, ones, setup)]
 
 
 def socular_enumeration(setup: ParabolicSetup, budget: EnumerationBudget):

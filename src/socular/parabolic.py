@@ -15,11 +15,11 @@ from operator import sub
 from typing import NamedTuple
 
 from .errors import DomainError, IntegrityError
-from .gkdim import check_family, gk_dimension
+from .gkdim import _gk, check_family
 from .hollow import HollowShape, _hollow
 from .partitions import _transpose
 from .tableaux import rs_shape
-from .weights import double, exact_entries, integer_entries
+from .weights import double, integer_entries
 from .zdiagram import z_diagram
 
 
@@ -40,10 +40,12 @@ class SocularCertificate(NamedTuple):
     target_hollow: HollowShape | None = None
 
 
-def _normalize(family: str, composition: tuple[int, ...]) -> tuple[int, ...]:
+def _setup(family: str, n: int, excluded: frozenset[int], composition: tuple[int, ...]) -> ParabolicSetup:
+    """The setup of an already checked family, rank, excluded set and their composition."""
+    normalized = composition
     if family == "D" and composition[-1] == 1 and len(composition) >= 2:
-        return composition[:-2] + (composition[-2] + 1, 0)
-    return composition
+        normalized = composition[:-2] + (composition[-2] + 1, 0)
+    return ParabolicSetup(family, n, excluded, composition, normalized)
 
 
 def parabolic_from_roots(family: str, n: int, excluded) -> ParabolicSetup:
@@ -52,7 +54,7 @@ def parabolic_from_roots(family: str, n: int, excluded) -> ParabolicSetup:
     excluded = frozenset(excluded)
     top = n - 1 if family == "A" else n
     for i in excluded:
-        if not isinstance(i, int) or i < 1 or i > top:
+        if isinstance(i, bool) or not isinstance(i, int) or i < 1 or i > top:
             raise DomainError(f"excluded root index {i!r} outside 1..{top} for {family}{n}")
     cuts = sorted(excluded)
     tail = ()
@@ -60,7 +62,7 @@ def parabolic_from_roots(family: str, n: int, excluded) -> ParabolicSetup:
         cuts.pop()
         tail = (0,)
     composition = (*map(sub, cuts, [0, *cuts]), n - (cuts[-1] if cuts else 0), *tail)
-    return ParabolicSetup(family, n, excluded, composition, _normalize(family, composition))
+    return _setup(family, n, excluded, composition)
 
 
 def parabolic_from_composition(family: str, composition) -> ParabolicSetup:
@@ -73,7 +75,9 @@ def parabolic_from_composition(family: str, composition) -> ParabolicSetup:
             raise DomainError(f"composition parts must be non-negative integers: {composition}")
         if v == 0 and (family == "A" or i != len(composition) - 1):
             raise DomainError(f"only the last part of a B/C/D composition may be 0: {composition}")
-    return parabolic_from_roots(family, sum(composition), accumulate(composition[:-1]))
+    n = sum(composition)
+    check_family(family, n)
+    return _setup(family, n, frozenset(accumulate(composition[:-1])), composition)
 
 
 def z_type(setup: ParabolicSetup) -> tuple[int, tuple[int, ...]]:
@@ -101,33 +105,43 @@ def _positive_multiple(x: int, d: int) -> bool:
     return x > 0 and x % d == 0
 
 
-def is_p_dominant(weight, setup: ParabolicSetup) -> bool:
-    """Whether F(lambda) is a finite-dimensional module of the Levi factor.
+def _p_dominant(nums: list[int], dens: list[int], setup: ParabolicSetup) -> bool:
+    """:func:`is_p_dominant` of the ``setup.n`` reduced entries ``nums[i] / dens[i]``, unchecked.
 
-    Checked on the original excluded set: every retained simple root must pair
-    with the weight to a positive integer.  For reduced a/d and b/e, a/d - b/e
-    is one only when d == e and a - b is a positive multiple of d; sums alike.
+    a/d - b/e is a positive integer only when d == e and a - b is a positive
+    multiple of d; sums alike.
     """
-    w = exact_entries(weight)
     n = setup.n
-    if len(w) != n:
-        raise DomainError(f"weight length {len(w)} != rank {n}")
     for i in range(1, n):
         if i not in setup.excluded:
-            a, b = w[i - 1], w[i]
-            d = a.denominator
-            if b.denominator != d or not _positive_multiple(a.numerator - b.numerator, d):
+            d = dens[i - 1]
+            if dens[i] != d or not _positive_multiple(nums[i - 1] - nums[i], d):
                 return False
     if setup.family != "A" and n not in setup.excluded:
-        a = w[n - 1]
-        x, d = a.numerator, a.denominator
+        x, d = nums[n - 1], dens[n - 1]
         if setup.family == "B":
             return _positive_multiple(2 * x, d)
         if setup.family == "C":
             return _positive_multiple(x, d)
-        b = w[n - 2]
-        return b.denominator == d and _positive_multiple(b.numerator + x, d)
+        return dens[n - 2] == d and _positive_multiple(nums[n - 2] + x, d)
     return True
+
+
+def _read(weight, setup: ParabolicSetup) -> tuple[list[int], list[int]]:
+    """:func:`integer_entries` of a weight whose length is checked against the rank."""
+    nums, dens = integer_entries(weight)
+    if len(nums) != setup.n:
+        raise DomainError(f"weight length {len(nums)} != rank {setup.n}")
+    return nums, dens
+
+
+def is_p_dominant(weight, setup: ParabolicSetup) -> bool:
+    """Whether F(lambda) is a finite-dimensional module of the Levi factor.
+
+    Checked on the original excluded set: every retained simple root must pair
+    with the weight to a positive integer.
+    """
+    return _p_dominant(*_read(weight, setup), setup)
 
 
 _PARITY = {"B": "odd", "C": "odd", "D": "even"}
@@ -164,11 +178,11 @@ def is_socular(weight, setup: ParabolicSetup) -> SocularCertificate:
     GK dimension reaching dim(u).
     """
     w = tuple(weight)
-    if not is_p_dominant(w, setup):
+    nums, dens = _read(w, setup)
+    if not _p_dominant(nums, dens, setup):
         raise DomainError("L(lambda) not in O^p: weight is not p-dominant")
-    gk = gk_dimension(w, setup.family)
+    gk = _gk(nums, dens, setup.family)[0]
     du = dim_nilradical(setup)
-    nums, dens = integer_entries(w)
     if dens.count(1) == len(dens):
         verdict, reason, candidate, target = _integral_criterion(tuple(nums), setup, _integral_target(setup))
     else:

@@ -6,7 +6,6 @@ the first row that is strictly bigger, so equal entries append.
 """
 
 from bisect import bisect_right
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
@@ -19,9 +18,6 @@ EMPTY: Tableau = ()
 # bound on the rs_shape and hollow caches: well above the distinct inputs of a
 # batch of queries, small enough that a long-running process stays bounded
 CACHE_SIZE = 1 << 14
-
-_INT = frozenset((int,))
-_RATIONAL_TYPES = frozenset((int, Fraction))
 
 
 def _insert_all(rows: list[list], seq) -> list[list]:
@@ -57,17 +53,6 @@ def shape(tableau: Tableau) -> Partition:
     return sh
 
 
-def _numerators(seq: tuple):
-    """``seq`` if it holds ints only, else its numerators if it holds ints and
-    Fractions over one denominator, else None."""
-    types = set(map(type, seq))
-    if types <= _INT:
-        return seq
-    if not types <= _RATIONAL_TYPES or len({v.denominator for v in seq}) > 1:
-        return None
-    return [v.numerator for v in seq]
-
-
 @lru_cache(maxsize=CACHE_SIZE, typed=True)
 def rs_shape(seq: tuple, den: int = 1) -> Partition:
     """Shape of the insertion tableau of the values ``seq[i] / den``; cached, so ``seq`` must be a tuple.
@@ -75,14 +60,11 @@ def rs_shape(seq: tuple, den: int = 1) -> Partition:
     The shape depends only on the relative order of the entries, which one
     positive ``den`` keeps, so ``den`` only keys the cache: numerators over
     d > 1 pass d, and keys are equal exactly when the value sequences are.
-    Entries over one denominator are inserted as plain ints.
+    The entries are inserted as they are given, whatever their type.
     """
     if type(den) is not int or den < 1:
         raise DomainError(f"den must be a positive int, got {den!r}")
-    nums = _numerators(seq)
-    if nums is None:
-        return shape(rs_tableau(seq))
-    return tuple(len(row) for row in _insert_all([], nums))
+    return tuple(len(row) for row in _insert_all([], seq))
 
 
 def render_tableau(tableau: Tableau) -> str:

@@ -18,8 +18,6 @@ from .errors import DomainError, IntegrityError
 from .hollow import hollow
 from .partitions import ORBIT_FAMILIES, Partition, as_partition
 
-__all__ = ["is_domino_type", "two_core", "h_algorithm"]
-
 
 def two_core(p) -> Partition:
     """The 2-core: what remains after removing all removable dominoes."""

@@ -66,15 +66,6 @@ def _exact(v):
     return v
 
 
-def exact_entries(weight) -> tuple:
-    """``weight`` as a tuple, after checking that every entry is an int (not a bool) or a Fraction."""
-    w = tuple(weight)
-    for v in w:
-        if type(v) is not int and type(v) is not Fraction:  # the common types skip the call
-            _exact(v)
-    return w
-
-
 def _as_fraction(v) -> Fraction:
     return v if type(v) is Fraction else Fraction(_exact(v))
 
@@ -86,8 +77,12 @@ def _residue(f: Fraction) -> tuple[int, int]:
 
 
 def integer_entries(weight) -> tuple[list[int], list[int]]:
-    """The numerators and the denominators of a weight's entries, checked as in :func:`exact_entries`."""
-    w = exact_entries(weight)
+    """The numerators and the denominators of a weight's entries, each checked to be an
+    int (not a bool) or a Fraction: the one weight reader the other modules use."""
+    w = tuple(weight)
+    for v in w:
+        if type(v) is not int and type(v) is not Fraction:  # the common types skip the call
+            _exact(v)
     return [v.numerator for v in w], [v.denominator for v in w]
 
 
@@ -178,4 +173,5 @@ def tilde_numerators(nums, d: int) -> tuple[int, ...]:
 
 
 def is_integral(weight) -> bool:
-    return all(_exact(v).denominator == 1 for v in weight)
+    dens = integer_entries(weight)[1]
+    return dens.count(1) == len(dens)

@@ -280,17 +280,18 @@ def _fresh_modules(statement: str, names) -> list[str]:
     return proc.stdout.splitlines()[-1].split()
 
 
-# subcommands that need no weight, GK dimension or parabolic
+# subcommands that need no weight, GK dimension, parabolic or exact rational
 PARTITION_ONLY = [
     ["zdiagram", "--a0", "1", "--b", "2,1"],
     ["collapse", "--partition", "5,3", "--family", "C"],
     ["expand", "--partition", "4,4,3,3,3", "--family", "B"],
+    ["halg", "--partition", "6,4,4,4,2,2,1,1", "--family", "B"],
 ]
 
 
 def test_cli_import_leaves_out_what_its_subcommands_may_not_need():
     assert _fresh_modules("import socular.cli", ["dataclasses", "inspect", "socular.oracles", "json"]) == []
-    lazy = ["socular.weights", "socular.gkdim", "socular.parabolic", "socular.oracles"]
+    lazy = ["socular.weights", "socular.gkdim", "socular.parabolic", "socular.oracles", "fractions", "decimal"]
     unused = ["dataclasses", *lazy, "socular.zdiagram", "socular.richardson", "socular.transforms", "socular.cli"]
     assert _fresh_modules("import socular", unused) == []
     for argv in PARTITION_ONLY:

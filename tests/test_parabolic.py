@@ -46,6 +46,22 @@ def test_from_roots_validation():
         parabolic_from_roots("D", 1, set())
 
 
+@pytest.mark.parametrize(
+    "family, n, excluded",
+    [
+        ("C", 2.5, ()),  # would give composition (2.5,) and the float dim(u) 0.0
+        ("B", 2.0, ()),
+        ("B", F(2), ()),
+        ("B", True, ()),  # a bool is not rank 1
+        ("B", 3, {True}),  # nor root 1
+        ("D", 3, {2, True}),
+    ],
+)
+def test_from_roots_rejects_non_int_ranks_and_bool_roots(family, n, excluded):
+    with pytest.raises(DomainError):
+        parabolic_from_roots(family, n, excluded)
+
+
 def test_from_composition_matches_from_roots():
     for family in ("A", "B", "C", "D"):
         for n in range(2, 6):

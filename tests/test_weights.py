@@ -151,4 +151,6 @@ def test_socularity_rejects_float_entries():
     with pytest.raises(DomainError):
         is_integral((1, 2.0))
     with pytest.raises(DomainError):
+        is_integral((F(1, 2), 1.0))  # also after an entry that is not integral
+    with pytest.raises(DomainError):
         congruence_decompose((F(1, 2), False), "bcd")
