@@ -28,6 +28,8 @@ from .parabolic import (
 from .partitions import (
     ORBIT_FAMILIES,
     Partition,
+    _check_orbit_family,
+    _collapse_input,
     _dominates,
     _is_orbit,
     _is_special,
@@ -61,12 +63,7 @@ def _unique_min(cands: list[Partition], context: str) -> Partition:
 
 def collapse_oracle(p, family: str) -> Partition:
     """Dominance-maximum type-``family`` partition below ``p``, by full enumeration."""
-    p = as_partition(p)
-    if family not in ORBIT_FAMILIES:
-        raise DomainError(f"family must be one of {ORBIT_FAMILIES}, got {family!r}")
-    want = 1 if family == "B" else 0
-    if sum(p) % 2 != want:
-        raise DomainError(f"type {family} needs total parity {want}, got total {sum(p)}")
+    p = _collapse_input(p, family)
     cands = [q for q in partitions_of(sum(p)) if _is_orbit(q, family) and _dominates(p, q)]
     return _unique_max(cands, f"collapse of {p} in type {family}")
 
@@ -94,8 +91,7 @@ def restricted_transform_oracle(p, family: str) -> Partition:
     candidates above that.
     """
     p = as_partition(p)
-    if family not in ORBIT_FAMILIES:
-        raise DomainError(f"family must be one of {ORBIT_FAMILIES}, got {family!r}")
+    _check_orbit_family(family)
     if not is_domino_type(p):
         raise DomainError(f"{p} is not of domino type")
     parity = "odd" if family in ("B", "C") else "even"

@@ -136,6 +136,16 @@ def _collapse_target(parts: list[int], family: str) -> int | None:
     return max(bad) if bad else None
 
 
+def _collapse_input(p: Iterable[int], family: str) -> Partition:
+    """Validate the input of a collapse: a partition, an orbit family and the family's total parity."""
+    p = as_partition(p)
+    _check_orbit_family(family)
+    want = 1 if family == "B" else 0
+    if sum(p) % 2 != want:
+        raise DomainError(f"type {family} needs total parity {want}, got total {sum(p)}")
+    return p
+
+
 def collapse(p: Iterable[int], family: str) -> Partition:
     """Largest type-``family`` partition dominated by ``p`` (the X-collapse).
 
@@ -144,14 +154,7 @@ def collapse(p: Iterable[int], family: str) -> Partition:
     strictly below q-1 (an absent part counts as 0, so a new part 1 may
     appear).
     """
-    p = as_partition(p)
-    _check_orbit_family(family)
-    want = 1 if family == "B" else 0
-    if sum(p) % 2 != want:
-        raise DomainError(
-            f"type {family} needs total parity {want}, got total {sum(p)}"
-        )
-    parts = list(p)
+    parts = list(_collapse_input(p, family))
     while True:
         q = _collapse_target(parts, family)
         if q is None:
@@ -185,6 +188,8 @@ def expand(p: Iterable[int], family: str) -> Partition:
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     """All partitions of ``n`` with parts at most ``max_part``, in descending lexicographic order."""
+    if type(n) is not int or not (max_part is None or type(max_part) is int):
+        raise DomainError(f"partitions_of takes integers, got n={n!r}, max_part={max_part!r}")
     if n < 0:
         raise DomainError("cannot partition a negative integer")
     if max_part is None or max_part > n:

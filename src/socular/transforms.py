@@ -16,7 +16,7 @@ even boxes (D).  It works on the hollow diagram of the retained parity:
 
 from .errors import DomainError, IntegrityError
 from .hollow import hollow
-from .partitions import ORBIT_FAMILIES, Partition, as_partition
+from .partitions import Partition, _check_orbit_family, as_partition
 
 
 def two_core(p) -> Partition:
@@ -59,8 +59,7 @@ def _pair_blocked(p: Partition, last: list[int], i: int, family: str) -> bool:
 def h_algorithm(p, family: str) -> Partition:
     """Special partition with the same odd (B, C) or even (D) boxes as ``p``."""
     p = as_partition(p)
-    if family not in ORBIT_FAMILIES:
-        raise DomainError(f"family must be one of {ORBIT_FAMILIES}, got {family!r}")
+    _check_orbit_family(family)
     if not is_domino_type(p):
         raise DomainError(f"{p} is not of domino type")
     doubled = sum(p)

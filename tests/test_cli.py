@@ -1,13 +1,16 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from socular import hollow, z_diagram
-from socular.cli import run
+import socular
+from socular import hollow, oracles, z_diagram
+from socular.cli import build_parser, run
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -263,6 +266,32 @@ GOLDEN = [
         '{"positions": [1, 3], "entries": ["1/3", "4/3"], "sequence": ["1/3", "4/3"], "shape": [2], "kind": "a", "f": 0}, '
         '{"positions": [2, 4], "entries": ["2", "0"], "sequence": ["2", "0"], "shape": [1, 1], "kind": "a", "f": 1}]}',
     ),
+    (
+        "tableau --weight 1/2,-3/2,1 --double front --json",
+        '{"shape": [4, 1, 1], "rows": [["-3/2", "-1/2", "1/2", "1"], ["-1"], ["3/2"]]}',
+    ),
+    ("tableau --weight 3,1,2 --json", '{"shape": [2, 1], "rows": [["1", "2"], ["3"]]}'),
+    (
+        "gkdim --family A --n 3 --weight 1,2,3 --json",
+        '{"gkdim": 3, "ambient": 3, "classes": [{"positions": [1, 2, 3], "entries": ["1", "2", "3"], '
+        '"sequence": ["1", "2", "3"], "shape": [3], "kind": "a", "f": 0}]}',
+    ),
+    ("dimu --family D --n 5 --excluded 1,4 --json", '{"dim_u": 14}'),
+    (
+        "parabolic --family A --n 4 --parabolic 2,2 --json",
+        '{"composition": [2, 2], "normalized_composition": [2, 2], "excluded": [2], "dim_u": 4}',
+    ),
+    (
+        "richardson --family B --n 3 --excluded 1 --json",
+        '{"richardson": [3, 1, 1, 1, 1], "very_even": false, "numeral": null, "dim_orbit": 10}',
+    ),
+    (
+        "zdiagram --a0 2 --b 1 --json",
+        '{"shape": [3, 1, 1, 1], "odd_cells": [[1, 2], [2, 1], [4, 1]], "even_cells": [[1, 1], [1, 3], [3, 1]]}',
+    ),
+    ("halg --partition 4,2 --family C --json", '{"shape": [4, 2], "transpose": [2, 2, 1, 1]}'),
+    ("collapse --partition 5,3,1 --family B --json", '{"shape": [5, 3, 1], "transpose": [3, 2, 2, 1, 1]}'),
+    ("expand --partition 4,4,3,3,3 --family B --json", '{"shape": [5, 3, 3, 3, 3], "transpose": [5, 5, 5, 1, 1]}'),
     ("oracle --check socular --max-n 2 --window 2", "socular: all comparisons passed"),
 ]
 
@@ -270,6 +299,294 @@ GOLDEN = [
 @pytest.mark.parametrize("argv, line", GOLDEN, ids=[argv for argv, _ in GOLDEN])
 def test_output_matches_golden(capsys, argv, line):
     assert _ok(capsys, argv.split()) == line + "\n"
+
+
+# The CLI contract, byte for byte: (argv, exit code, stdout, stderr).  With GOLDEN
+# it covers every subcommand in text and --json mode, the setup-selection errors,
+# other domain errors and the usage errors.
+CONTRACT = [
+    ('tableau --weight -5,-6,-4,2', 0, '-6 -4 2\n-5\n', ''),
+    ('tableau --weight -5,-6,-4,2 --double front', 0, '-6 -4 2\n-5 4 5\n-2\n6\n', ''),
+    ('gkdim --family D --n 3 --weight 1/2,-1/2,3/2', 0, '3\n', ''),
+    ('socular --family B --n 4 --parabolic 2,1,1 --weight -5,-6,-4,2', 0, 'socular: true\n', ''),
+    ('socular --family C --n 3 --excluded 2 --weight 3,2,1', 0, 'socular: false\n', ''),
+    ('socular --family A --n 3 --parabolic 2,1 --weight 1,0,5', 0, 'socular: true\n', ''),
+    ('dimu --family A --n 4 --excluded 2', 0, '4\n', ''),
+    ('parabolic --family D --n 5 --excluded 1,4', 0, 'composition: 1,3,1\nnormalized: 1,4,0\ndim_u: 14\n', ''),
+    ('parabolic --family C --n 4 --parabolic 1,3,0', 0, 'composition: 1,3,0\nnormalized: 1,3,0\ndim_u: 13\n', ''),
+    ('richardson --family C --n 5 --parabolic 2,3,0', 0, '4,4,2\n', ''),
+    ('richardson --family A --n 6 --excluded 1,3', 0, '3,2,1\n', ''),
+    ('zdiagram --a0 1 --b 2,1 --hollow even', 0, '5,3\nE.E.E\n.E.\n', ''),
+    ('zdiagram --a0 0 --b 3 --hollow odd', 0, '2,2,2\n.O\nO.\n.O\n', ''),
+    ('zdiagram --a0 2', 0, '1,1,1,1\nE\nO\nE\nO\n', ''),
+    ('zdiagram --a0 0', 2, '', 'domain error: empty Z-diagram type (0; )\n'),
+    ('halg --partition 2,2 --family D', 0, '2,2\n', ''),
+    (
+        'collapse --partition 4,4,3,3,3 --family D --json',
+        2, '', 'domain error: type D needs total parity 0, got total 17\n',
+    ),
+    ('expand --partition 3,2,2,1 --family D', 0, '3,3,1,1\n', ''),
+    ('oracle --check collapse --max-total 6', 0, 'collapse: all comparisons passed\n', ''),
+    ('oracle --check halg --max-total 6', 0, 'halg: all comparisons passed\n', ''),
+    ('oracle --check socular --max-n 1 --window 1', 0, 'socular: all comparisons passed\n', ''),
+    # selecting the parabolic: both options, neither, a composition off --n, a root out of range
+    (
+        'dimu --family B --n 4 --parabolic 2,1,1 --excluded 2,3',
+        2, '', 'domain error: give either --parabolic or --excluded, not both\n',
+    ),
+    ('richardson --family B --n 4', 2, '', 'domain error: one of --parabolic or --excluded is required\n'),
+    (
+        'socular --family B --n 5 --parabolic 2,1,1 --weight -5,-6,-4,2,1',
+        2, '', 'domain error: composition sums to 4, but --n is 5\n',
+    ),
+    ('parabolic --family D --n 4 --excluded 5', 2, '', 'domain error: excluded root index 5 outside 1..4 for D4\n'),
+    (
+        'parabolic --family A --n 4 --excluded 0 --json',
+        2, '', 'domain error: excluded root index 0 outside 1..3 for A4\n',
+    ),
+    # other domain errors
+    (
+        'socular --family B --n 4 --parabolic 2,1,1 --weight -6,-5,-4,2',
+        2, '', 'domain error: L(lambda) not in O^p: weight is not p-dominant\n',
+    ),
+    ('gkdim --family B --n 3 --weight 1,2', 2, '', 'domain error: weight has 2 entries, --n is 3\n'),
+    ('gkdim --family A --n 0 --weight 1', 2, '', 'domain error: weight has 1 entries, --n is 0\n'),
+    ('collapse --partition 3,5 --family C', 2, '', 'domain error: partition parts must be weakly decreasing: (3, 5)\n'),
+    ('collapse --partition 3,2 --family B', 0, '3,1,1\n', ''),
+    (
+        'collapse --partition 3,1 --family A',
+        2, '', "domain error: orbit family must be one of ('B', 'C', 'D'), got 'A'\n",
+    ),
+    (
+        'expand --partition 3,1 --family A',
+        2, '', "domain error: orbit family must be one of ('B', 'C', 'D'), got 'A'\n",
+    ),
+    ('expand --partition 2,1 --family D', 2, '', 'domain error: (2, 1) is not an orbit partition of type D\n'),
+    ('halg --partition 3,1 --family A', 2, '', "domain error: orbit family must be one of ('B', 'C', 'D'), got 'A'\n"),
+    ('halg --partition 3 --family B', 2, '', 'domain error: (3,) is not of domino type\n'),
+    ('zdiagram --a0 -1', 2, '', 'domain error: a0 must be a non-negative integer, got -1\n'),
+    ('oracle --check collapse --max-total -3', 2, '', 'domain error: bad budget max_total=-3: must be at least 0\n'),
+    ('oracle --check socular --max-n 0', 2, '', 'domain error: bad budget max_n=0: must be at least 1\n'),
+    # usage errors
+    ('', 1, '', 'usage error: the following arguments are required: command\n'),
+    (
+        'frobnicate',
+        1,
+        '',
+        "usage error: argument command: invalid choice: 'frobnicate' (choose from 'tableau', 'gkdim', "
+        "'socular', 'dimu', 'parabolic', 'richardson', 'zdiagram', 'halg', 'collapse', 'expand', 'oracle')\n",
+    ),
+    (
+        'gkdim --family X --n 1 --weight 1',
+        1, '', "usage error: argument --family: invalid choice: 'X' (choose from 'A', 'B', 'C', 'D')\n",
+    ),
+    (
+        'gkdim --family B --n 4 --weight -5,-6,-4,1/2 --parabolic',
+        1, '', 'usage error: unrecognized arguments: --parabolic\n',
+    ),
+    ('gkdim --family B --n 4 --weight 1.5,2', 1, '', "usage error: argument --weight: not a rational literal: '1.5'\n"),
+    ('gkdim --family B --n four --weight 1', 1, '', "usage error: argument --n: invalid int value: 'four'\n"),
+    (
+        'halg --partition x,y --family B',
+        1, '', "usage error: argument --partition: expected comma-separated integers, got 'x,y'\n",
+    ),
+    ('halg', 1, '', 'usage error: the following arguments are required: --partition, --family\n'),
+    ('socular', 1, '', 'usage error: the following arguments are required: --family, --n, --weight\n'),
+    ('gkdim --family B', 1, '', 'usage error: the following arguments are required: --n, --weight\n'),
+    ('tableau', 1, '', 'usage error: the following arguments are required: --weight\n'),
+    ('zdiagram --b 1', 1, '', 'usage error: the following arguments are required: --a0\n'),
+    ('oracle', 1, '', 'usage error: the following arguments are required: --check\n'),
+    ('oracle --check socular --json', 1, '', 'usage error: unrecognized arguments: --json\n'),
+    (
+        'tableau --weight 1,2 --double sideways',
+        1, '', "usage error: argument --double: invalid choice: 'sideways' (choose from 'back', 'front')\n",
+    ),
+    ('dimu --family B --n 4 --parabolic 2,1,1 --verbose', 1, '', 'usage error: unrecognized arguments: --verbose\n'),
+    ('richardson --family B --n 4 --parabolic', 1, '', 'usage error: argument --parabolic: expected one argument\n'),
+    (
+        'zdiagram --a0 1 --hollow both',
+        1, '', "usage error: argument --hollow: invalid choice: 'both' (choose from 'odd', 'even')\n",
+    ),
+]
+
+# --help of the program and of each subcommand, at 80 columns
+HELP = {
+    "": """\
+usage: socular [-h]
+               {tableau,gkdim,socular,dimu,parabolic,richardson,zdiagram,halg,collapse,expand,oracle}
+               ...
+
+positional arguments:
+  {tableau,gkdim,socular,dimu,parabolic,richardson,zdiagram,halg,collapse,expand,oracle}
+    tableau             Robinson-Schensted tableau of a weight
+    gkdim               Gelfand-Kirillov dimension of L(lambda)
+    zdiagram            Z-diagram of type (a0; b1,b2,...)
+    oracle              run brute-force cross-checks
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "tableau": """\
+usage: socular tableau [-h] --weight WEIGHT [--double {back,front}] [--json]
+
+options:
+  -h, --help            show this help message and exit
+  --weight WEIGHT
+  --double {back,front}
+  --json
+""",
+    "gkdim": """\
+usage: socular gkdim [-h] --family {A,B,C,D} --n N --weight WEIGHT [--json]
+
+options:
+  -h, --help          show this help message and exit
+  --family {A,B,C,D}
+  --n N
+  --weight WEIGHT
+  --json
+""",
+    "socular": """\
+usage: socular socular [-h] --family {A,B,C,D} --n N [--parabolic PARABOLIC]
+                       [--excluded EXCLUDED] [--json] --weight WEIGHT
+
+options:
+  -h, --help            show this help message and exit
+  --family {A,B,C,D}
+  --n N
+  --parabolic PARABOLIC
+  --excluded EXCLUDED
+  --json
+  --weight WEIGHT
+""",
+    "dimu": """\
+usage: socular dimu [-h] --family {A,B,C,D} --n N [--parabolic PARABOLIC]
+                    [--excluded EXCLUDED] [--json]
+
+options:
+  -h, --help            show this help message and exit
+  --family {A,B,C,D}
+  --n N
+  --parabolic PARABOLIC
+  --excluded EXCLUDED
+  --json
+""",
+    "parabolic": """\
+usage: socular parabolic [-h] --family {A,B,C,D} --n N [--parabolic PARABOLIC]
+                         [--excluded EXCLUDED] [--json]
+
+options:
+  -h, --help            show this help message and exit
+  --family {A,B,C,D}
+  --n N
+  --parabolic PARABOLIC
+  --excluded EXCLUDED
+  --json
+""",
+    "richardson": """\
+usage: socular richardson [-h] --family {A,B,C,D} --n N
+                          [--parabolic PARABOLIC] [--excluded EXCLUDED]
+                          [--json]
+
+options:
+  -h, --help            show this help message and exit
+  --family {A,B,C,D}
+  --n N
+  --parabolic PARABOLIC
+  --excluded EXCLUDED
+  --json
+""",
+    "zdiagram": """\
+usage: socular zdiagram [-h] --a0 A0 [--b B] [--hollow {odd,even}] [--json]
+
+options:
+  -h, --help           show this help message and exit
+  --a0 A0
+  --b B
+  --hollow {odd,even}
+  --json
+""",
+    "halg": """\
+usage: socular halg [-h] --partition PARTITION --family {A,B,C,D} [--json]
+
+options:
+  -h, --help            show this help message and exit
+  --partition PARTITION
+  --family {A,B,C,D}
+  --json
+""",
+    "collapse": """\
+usage: socular collapse [-h] --partition PARTITION --family {A,B,C,D} [--json]
+
+options:
+  -h, --help            show this help message and exit
+  --partition PARTITION
+  --family {A,B,C,D}
+  --json
+""",
+    "expand": """\
+usage: socular expand [-h] --partition PARTITION --family {A,B,C,D} [--json]
+
+options:
+  -h, --help            show this help message and exit
+  --partition PARTITION
+  --family {A,B,C,D}
+  --json
+""",
+    "oracle": """\
+usage: socular oracle [-h] --check {collapse,halg,socular}
+                      [--max-total MAX_TOTAL] [--max-n MAX_N]
+                      [--window WINDOW]
+
+options:
+  -h, --help            show this help message and exit
+  --check {collapse,halg,socular}
+  --max-total MAX_TOTAL
+  --max-n MAX_N
+  --window WINDOW
+""",
+}
+
+
+
+@pytest.mark.parametrize("argv, code, out, err", CONTRACT, ids=[argv or "<none>" for argv, *_ in CONTRACT])
+def test_cli_contract(capsys, argv, code, out, err):
+    assert (run(argv.split()), *capsys.readouterr()) == (code, out, err)
+
+
+@pytest.mark.parametrize("command", HELP, ids=[command or "<program>" for command in HELP])
+def test_cli_help(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run([*command.split(), "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (HELP[command], "")
+
+
+def test_oracle_mismatches_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(oracles, "check_collapse", lambda budget: ["first mismatch", "second mismatch"])
+    assert run(["oracle", "--check", "collapse"]) == 3
+    assert capsys.readouterr() == ("collapse: 2 mismatches\n", "first mismatch\nsecond mismatch\n")
+
+
+def test_integrity_error_exit_3(capsys, monkeypatch):
+    def broken(setup):
+        raise socular.IntegrityError("rows out of order")
+
+    monkeypatch.setattr(socular, "richardson_partition", broken)
+    assert run(["richardson", "--family", "B", "--n", "4", "--parabolic", "2,1,1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("integrity error:")
+
+
+def test_readme_lists_every_subcommand_and_json_reaches_all_but_oracle():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"Subcommands:(.*?)\.\n", readme, re.S).group(1)
+    parser = build_parser()
+    (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    assert sorted(re.findall(r"`([a-z]+)`", listed)) == sorted(sub.choices)
+    for name, subparser in sub.choices.items():
+        assert ("[--json]" in subparser.format_usage()) == (name != "oracle"), name
 
 
 def _fresh_modules(statement: str, names) -> list[str]:

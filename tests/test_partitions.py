@@ -14,9 +14,11 @@ from socular import (
     collapse_oracle,
     dominates,
     expand,
+    h_algorithm,
     is_orbit_partition,
     is_special,
     parse_partition,
+    restricted_transform_oracle,
     transpose,
 )
 from socular.partitions import ORBIT_FAMILIES, as_partition, format_partition, partitions_of
@@ -181,6 +183,21 @@ def test_partitions_of_matches_recursive_enumeration():
 def test_partitions_of_has_no_recursion_limit():
     assert next(partitions_of(1200, 1)) == (1,) * 1200
     assert next(partitions_of(1200)) == (1200,)
+
+
+@pytest.mark.parametrize("args", [(True,), (2.5,), ("3",), (None,), (4, 1.5), (4, False)])
+def test_partitions_of_rejects_arguments_that_are_not_ints(args):
+    with pytest.raises(DomainError, match="partitions_of takes integers"):
+        list(partitions_of(*args))
+
+
+@pytest.mark.parametrize(
+    "op",
+    [is_orbit_partition, is_special, collapse, expand, h_algorithm, collapse_oracle, restricted_transform_oracle],
+)
+def test_every_partition_operation_words_a_bad_orbit_family_alike(op):
+    with pytest.raises(DomainError, match=r"^orbit family must be one of \('B', 'C', 'D'\), got 'A'$"):
+        op((2, 2), "A")
 
 
 def _orbit_by_multiplicity(p, family):
