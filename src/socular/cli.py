@@ -154,6 +154,8 @@ def _cmd_partition_op(args) -> dict | str:
 def _cmd_oracle(args) -> str:
     from .oracles import EnumerationBudget, check_collapse, check_halg, check_socular
 
+    if args.window < 0:
+        raise socular.DomainError(f"--window must be at least 0, got {args.window}")
     budget = EnumerationBudget(
         max_total=args.max_total, entry_window=(-args.window, args.window), max_n=args.max_n
     )
@@ -251,3 +253,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -51,7 +51,10 @@ def _setup(family: str, n: int, excluded: frozenset[int], composition: tuple[int
 def parabolic_from_roots(family: str, n: int, excluded) -> ParabolicSetup:
     """Setup from the excluded simple-root indices (subset of {1..n})."""
     check_family(family, n)
-    excluded = frozenset(excluded)
+    try:
+        excluded = frozenset(excluded)
+    except TypeError:
+        raise DomainError(f"excluded roots must be a collection of root indices, got {excluded!r}") from None
     top = n - 1 if family == "A" else n
     for i in excluded:
         if isinstance(i, bool) or not isinstance(i, int) or i < 1 or i > top:
@@ -67,7 +70,10 @@ def parabolic_from_roots(family: str, n: int, excluded) -> ParabolicSetup:
 
 def parabolic_from_composition(family: str, composition) -> ParabolicSetup:
     """Setup from a composition (n_1,...,n_k); only the last part may be 0."""
-    composition = tuple(composition)
+    try:
+        composition = tuple(composition)
+    except TypeError:
+        raise DomainError(f"a composition must be a sequence of parts, got {composition!r}") from None
     if not composition:
         raise DomainError("empty composition")
     for i, v in enumerate(composition):
@@ -177,8 +183,7 @@ def is_socular(weight, setup: ParabolicSetup) -> SocularCertificate:
     hit the rs_shape entry of the GK call; non-integral weights are decided by
     GK dimension reaching dim(u).
     """
-    w = tuple(weight)
-    nums, dens = _read(w, setup)
+    nums, dens = _read(weight, setup)
     if not _p_dominant(nums, dens, setup):
         raise DomainError("L(lambda) not in O^p: weight is not p-dominant")
     gk = _gk(nums, dens, setup.family)[0]
@@ -189,7 +194,7 @@ def is_socular(weight, setup: ParabolicSetup) -> SocularCertificate:
         verdict, reason, candidate, target = gk == du, "gk-equality", None, None
     if verdict and gk != du:
         raise IntegrityError(
-            f"socular verdict with GKdim {gk} != dim(u) {du} for {w} in {setup}"
+            f"socular verdict with GKdim {gk} != dim(u) {du} for {weight} in {setup}"
         )
     return SocularCertificate(
         verdict=verdict,

@@ -187,13 +187,19 @@ def expand(p: Iterable[int], family: str) -> Partition:
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of ``n`` with parts at most ``max_part``, in descending lexicographic order."""
+    """All partitions of ``n`` with parts at most ``max_part``, in descending lexicographic order.
+
+    The arguments are checked at the call, before the first partition is asked for.
+    """
     if type(n) is not int or not (max_part is None or type(max_part) is int):
         raise DomainError(f"partitions_of takes integers, got n={n!r}, max_part={max_part!r}")
     if n < 0:
         raise DomainError("cannot partition a negative integer")
-    if max_part is None or max_part > n:
-        max_part = n
+    return _partitions_of(n, n if max_part is None or max_part > n else max_part)
+
+
+def _partitions_of(n: int, max_part: int) -> Iterator[Partition]:
+    """:func:`partitions_of` of a checked ``n >= 0`` and ``max_part <= n``."""
     if n == 0:
         yield ()
         return

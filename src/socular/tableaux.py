@@ -3,13 +3,16 @@
 Tableaux are tuples of tuples (rows, top first).  Rows are weakly increasing,
 columns strictly increasing; an inserted value replaces the leftmost entry of
 the first row that is strictly bigger, so equal entries append.
+
+Column-inserting w_N...w_1 gives the tableau of row-inserting w_1...w_N
+(Knuth 1970; Fulton, *Young Tableaux*, A.2), walking columns instead of rows.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
 from .errors import DomainError
-from .partitions import Partition
+from .partitions import Partition, _transpose
 
 Tableau = tuple[tuple, ...]
 
@@ -20,18 +23,29 @@ EMPTY: Tableau = ()
 CACHE_SIZE = 1 << 14
 
 
-def _insert_all(rows: list[list], seq) -> list[list]:
-    """Row-insert every value of ``seq`` into ``rows`` in place, left to right."""
+# up to this many lines an insertion never gives up: small shapes cost little
+# either way
+_MIN_LINES = 8
+
+
+def _insert_all(lines: list[list], seq, search=bisect_right, ratio: int = 0) -> list[list] | None:
+    """Insert ``seq`` into ``lines`` in place: rows by ``bisect_right``, strictly
+    increasing columns by ``bisect_left``.  With a ``ratio``, returns None,
+    unfinished, once the lines outnumber both ``_MIN_LINES`` and ``ratio`` times
+    the first line's length."""
     for v in seq:
-        for row in rows:
-            i = bisect_right(row, v)
-            if i == len(row):
-                row.append(v)
-                break
-            row[i], v = v, row[i]
+        for line in lines:
+            i = search(line, v)
+            if i < len(line):
+                line[i], v = v, line[i]
+                continue
+            line.append(v)
+            break
         else:
-            rows.append([v])
-    return rows
+            lines.append([v])
+            if ratio and len(lines) > _MIN_LINES and len(lines) > ratio * len(lines[0]):
+                return None
+    return lines
 
 
 def rs_insert(tableau: Tableau, value) -> Tableau:
@@ -61,10 +75,19 @@ def rs_shape(seq: tuple, den: int = 1) -> Partition:
     positive ``den`` keeps, so ``den`` only keys the cache: numerators over
     d > 1 pass d, and keys are equal exactly when the value sequences are.
     The entries are inserted as they are given, whatever their type.
+    A word whose rows come to outnumber twice its columns (p-dominant weights
+    double to a few falling runs) is column-inserted in reverse instead, and
+    row-inserted to the end if its columns then come to outnumber its rows.
     """
     if type(den) is not int or den < 1:
         raise DomainError(f"den must be a positive int, got {den!r}")
-    return tuple(len(row) for row in _insert_all([], seq))
+    rows = _insert_all([], seq, bisect_right, 2)
+    if rows is not None:
+        return tuple(map(len, rows))
+    cols = _insert_all([], reversed(seq), bisect_left, 1)
+    if cols is not None:
+        return _transpose(tuple(map(len, cols)))
+    return tuple(map(len, _insert_all([], seq)))
 
 
 def render_tableau(tableau: Tableau) -> str:

@@ -79,7 +79,10 @@ def _residue(f: Fraction) -> tuple[int, int]:
 def integer_entries(weight) -> tuple[list[int], list[int]]:
     """The numerators and the denominators of a weight's entries, each checked to be an
     int (not a bool) or a Fraction: the one weight reader the other modules use."""
-    w = tuple(weight)
+    try:
+        w = tuple(weight)
+    except TypeError:
+        raise DomainError(f"a weight must be a sequence of entries, got {weight!r}") from None
     for v in w:
         if type(v) is not int and type(v) is not Fraction:  # the common types skip the call
             _exact(v)

@@ -367,6 +367,9 @@ CONTRACT = [
     ('zdiagram --a0 -1', 2, '', 'domain error: a0 must be a non-negative integer, got -1\n'),
     ('oracle --check collapse --max-total -3', 2, '', 'domain error: bad budget max_total=-3: must be at least 0\n'),
     ('oracle --check socular --max-n 0', 2, '', 'domain error: bad budget max_n=0: must be at least 1\n'),
+    ('oracle --check halg --window -1', 2, '', 'domain error: --window must be at least 0, got -1\n'),
+    ('oracle --check collapse --window -1', 2, '', 'domain error: --window must be at least 0, got -1\n'),
+    ('oracle --check socular --window -2', 2, '', 'domain error: --window must be at least 0, got -2\n'),
     # usage errors
     ('', 1, '', 'usage error: the following arguments are required: command\n'),
     (
@@ -595,6 +598,16 @@ def _fresh_modules(statement: str, names) -> list[str]:
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return proc.stdout.splitlines()[-1].split()
+
+
+@pytest.mark.parametrize("module", ["socular", "socular.cli"])
+def test_python_m_runs_the_cli(module):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    argv = [sys.executable, "-m", module, "gkdim", "--family", "B", "--n", "4", "--weight", "-5,-6,-4,2"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "14\n", "")
+    proc = subprocess.run([sys.executable, "-m", module, "oracle"], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
 
 
 # subcommands that need no weight, GK dimension, parabolic or exact rational

@@ -1,5 +1,7 @@
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
+from math import gcd
 from itertools import product
 
 import pytest
@@ -12,11 +14,13 @@ from socular import (
     f_stat,
     gk_breakdown,
     gk_dimension,
+    is_p_dominant,
     is_socular,
     parabolic_from_composition,
     rs_shape,
 )
 from socular.oracles import gk_dimension_oracle
+import socular.tableaux
 
 
 def test_paper_derived_examples():
@@ -148,6 +152,62 @@ def test_is_socular_reuses_the_shape_of_its_gk_call(family, composition, weight)
     is_socular(weight, setup)
     info = rs_shape.cache_info()
     assert (info.hits, info.misses) == (1, 1)
+
+
+def _p_dominant_weight(rng, family, n, kind):
+    """A weight falling by 1-3 inside each of 1-6 blocks, with the setup it is p-dominant for.
+
+    Each block gets its own offset: 0 (integral), 1/2 (half) or a generic a/b,
+    b in 3..7.  An integral weight may also end in a positive block that meets
+    the last simple root; every other weight has a zero tail.
+    """
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, 5)))
+    blocks = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+    w = []
+    for size in blocks:
+        if kind == "integral":
+            offset = 0
+        elif kind == "half":
+            offset = F(1, 2)
+        else:
+            b = rng.randint(3, 7)
+            offset = F(rng.choice([a for a in range(1, b) if gcd(a, b) == 1]), b)
+        w.append(rng.randint(-2 * n, 2 * n) + offset)
+        for _ in range(size - 1):
+            w.append(w[-1] - rng.randint(1, 3))
+    tail = kind == "integral" and blocks[-1] > 1 and rng.random() < 0.5
+    if tail:
+        # the last block, rebuilt positive from its bottom entry up
+        w[-1] = rng.randint(1, 3)
+        for i in range(n - 2, n - 1 - blocks[-1], -1):
+            w[i] = w[i + 1] + rng.randint(1, 3)
+    setup = parabolic_from_composition(family, tuple(blocks) + (() if tail else (0,)))
+    assert is_p_dominant(w, setup), (w, setup)
+    return tuple(w), setup
+
+
+@pytest.mark.parametrize("family", ["B", "C", "D"])
+def test_gk_matches_the_oracle_on_long_p_dominant_weights(family, monkeypatch):
+    # the doubled classes of these weights are a few falling runs: tall words
+    # that rs_shape column-inserts, against the oracle's row-inserted tableaux
+    insert_all, finished_columns = socular.tableaux._insert_all, []
+
+    def counted(lines, seq, search=bisect_right, ratio=0):
+        out = insert_all(lines, seq, search, ratio)
+        if search is bisect_left and out is not None:
+            finished_columns.append(len(out))
+        return out
+
+    monkeypatch.setattr(socular.tableaux, "_insert_all", counted)
+    rng = random.Random(4099 + ord(family))
+    for n in (64, 100, 150, 200):
+        for kind in ("integral", "half", "generic"):
+            w, setup = _p_dominant_weight(rng, family, n, kind)
+            rs_shape.cache_clear()
+            want = gk_dimension_oracle(w, family)
+            assert gk_dimension(w, family) == want, (family, w)
+            assert is_socular(w, setup).gk == want
+    assert len(finished_columns) >= 12
 
 
 _ENTRY = st.one_of(

@@ -7,7 +7,9 @@ import pytest
 from socular import (
     DomainError,
     dim_nilradical,
+    gk_breakdown,
     gk_dimension,
+    is_integral,
     is_p_dominant,
     is_socular,
     parabolic_from_composition,
@@ -60,6 +62,38 @@ def test_from_roots_validation():
 def test_from_roots_rejects_non_int_ranks_and_bool_roots(family, n, excluded):
     with pytest.raises(DomainError):
         parabolic_from_roots(family, n, excluded)
+
+
+_B3 = parabolic_from_composition("B", (1, 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gk_dimension(5, "B"),
+        lambda: gk_breakdown(5, "B"),
+        lambda: is_p_dominant(5, _B3),
+        lambda: is_socular(5, _B3),
+        lambda: is_integral(5),
+        lambda: parabolic_from_composition("B", 5),
+        lambda: parabolic_from_roots("B", 3, 5),
+        lambda: parabolic_from_roots("B", 3, [[1]]),
+    ],
+    ids=[
+        "gk_dimension",
+        "gk_breakdown",
+        "is_p_dominant",
+        "is_socular",
+        "is_integral",
+        "parabolic_from_composition",
+        "parabolic_from_roots-int",
+        "parabolic_from_roots-unhashable",
+    ],
+)
+def test_inputs_of_the_wrong_shape_are_domain_errors(call):
+    # a weight, composition or excluded set that is not a collection of entries
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_from_composition_matches_from_roots():

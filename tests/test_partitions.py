@@ -191,6 +191,13 @@ def test_partitions_of_rejects_arguments_that_are_not_ints(args):
         list(partitions_of(*args))
 
 
+@pytest.mark.parametrize("args", [(-1,), ("3",), (2.5,), (4, 1.5)])
+def test_partitions_of_checks_its_arguments_at_the_call(args):
+    # not at the first next(): a bad argument raises before any partition is asked for
+    with pytest.raises(DomainError):
+        partitions_of(*args)
+
+
 @pytest.mark.parametrize(
     "op",
     [is_orbit_partition, is_special, collapse, expand, h_algorithm, collapse_oracle, restricted_transform_oracle],

@@ -1,9 +1,14 @@
 import random
+from bisect import bisect_left
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socular import DomainError, double, render_tableau, rs_insert, rs_shape, rs_tableau, shape
+from socular.partitions import _transpose
+from socular.tableaux import _insert_all
 
 from helpers import longest_strictly_decreasing, longest_weakly_increasing
 
@@ -144,6 +149,86 @@ def test_rs_shape_cache_is_bounded():
         assert rs_shape.cache_info().currsize == bound
     finally:
         rs_shape.cache_clear()
+
+
+def _row_shape(seq):
+    return tuple(map(len, _insert_all([], seq)))
+
+
+def _column_shape(seq):
+    """The shape by column insertion of the reversed word, with no bail-out."""
+    return _transpose(tuple(map(len, _insert_all([], reversed(seq), bisect_left))))
+
+
+def _sawtooth(n, block, rise):
+    """Blocks of ``block`` entries falling by one inside, each block ``rise`` above the last."""
+    return tuple((i // block) * rise + block - i % block for i in range(n))
+
+
+_RUN = st.tuples(st.integers(-60, 60), st.integers(1, 300), st.integers(0, 3), st.sampled_from((-1, 1)))
+
+
+@st.composite
+def _words(draw):
+    """Words up to length 2048: small alphabets (ties), falling runs, rising sawtooths, mixed runs."""
+    kind = draw(st.sampled_from(("ties", "falling", "sawtooth", "mixed")), label="kind")
+    if kind == "ties":
+        return tuple(draw(st.lists(st.integers(-3, 3), max_size=300)))
+    if kind == "sawtooth":
+        block = draw(st.integers(2, 16), label="block")
+        rise = draw(st.integers(1, 2 * block), label="rise")
+        return _sawtooth(draw(st.integers(0, 2048), label="length"), block, rise)
+    runs = draw(st.lists(_RUN, min_size=1, max_size=12), label="runs")
+    word = []
+    for start, length, step, sign in runs:
+        if kind == "falling":
+            sign = -1
+        word += [start + sign * step * j for j in range(length)]
+    return tuple(word[:2048])
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(seq=_words())
+def test_both_insertion_directions_give_the_tableau_shape(seq):
+    # whichever insertions rs_shape runs for seq, both directions must agree with the reference
+    want = shape(rs_tableau(seq))
+    assert _row_shape(seq) == want
+    assert _column_shape(seq) == want
+    rs_shape.cache_clear()
+    assert rs_shape(seq) == want
+
+
+def test_both_insertions_give_up_on_a_rising_sawtooth():
+    # blocks of 12 falling inside and rising from block to block: the first
+    # block alone makes the rows outnumber twice the columns, but the whole
+    # shape is 12 rows of 21 or 22, wide enough to stop the column insertion
+    saw = _sawtooth(256, 12, 13)
+    assert _insert_all([], saw, ratio=2) is None
+    assert _insert_all([], reversed(saw), bisect_left, 1) is None
+    rs_shape.cache_clear()
+    assert rs_shape(saw) == shape(rs_tableau(saw)) == (22,) * 4 + (21,) * 8
+
+
+def test_short_sawtooth_blocks_never_leave_the_rows():
+    saw = _sawtooth(256, 4, 5)
+    assert _insert_all([], saw, ratio=2) is not None
+    assert rs_shape(saw) == (64, 64, 64, 64)
+
+
+def test_a_doubled_dominant_weight_is_column_inserted_to_the_end():
+    # four falling blocks of 64 double to eight falling runs: at most 8 columns
+    seq = double(tuple(start - j for start in (0, 300, 100, 400) for j in range(64)))
+    assert _insert_all([], seq, ratio=2) is None
+    cols = _insert_all([], reversed(seq), bisect_left, 1)
+    assert cols is not None and len(cols) <= 8 and len(cols[0]) >= 64
+    rs_shape.cache_clear()
+    assert rs_shape(seq) == _transpose(tuple(map(len, cols))) == shape(rs_tableau(seq))
+
+
+def test_random_words_stay_on_the_rows():
+    rng = random.Random(41)
+    words = [tuple(rng.randint(-500, 500) for _ in range(n)) for n in (32, 128, 512) for _ in range(10)]
+    assert all(_insert_all([], seq, ratio=2) is not None for seq in words)
 
 
 def test_render():
