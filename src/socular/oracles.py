@@ -8,10 +8,17 @@ partitions, socularity by enumerating integral weights, GK dimension on plain
 Each oracle validates its argument once; the partitions it enumerates come from
 :func:`partitions_of`, which yields canonical tuples, so it tests them with the
 unchecked kernels of :mod:`socular.partitions` and :mod:`socular.hollow`.
+
+A sweep enumerates each candidate set once: the orbit partitions of a total
+are one cached table that every oracle call of that total filters, the
+p-dominant weights of a window are generated block by block instead of
+filtered out of the whole window, and ``check_socular`` computes GK dimension
+and the criterion's candidate once per weight of a rank, not once per setup.
 """
 
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import chain, combinations, product
 from typing import NamedTuple
 
 from .errors import DomainError, IntegrityError
@@ -19,7 +26,7 @@ from .gkdim import check_family, gk_dimension
 from .hollow import _hollow, f_stat, hollow
 from .parabolic import (
     ParabolicSetup,
-    _integral_criterion,
+    _integral_candidate,
     _integral_target,
     _p_dominant,
     dim_nilradical,
@@ -39,6 +46,9 @@ from .partitions import (
 )
 from .tableaux import rs_tableau, shape
 from .transforms import h_algorithm, is_domino_type
+
+# three families times the totals one sweep reaches, with room to spare
+ORBIT_TABLE_SIZE = 64
 
 
 class EnumerationBudget(NamedTuple):
@@ -61,10 +71,16 @@ def _unique_min(cands: list[Partition], context: str) -> Partition:
     raise IntegrityError(f"no unique dominance minimum among {len(cands)} candidates: {context}")
 
 
+@lru_cache(maxsize=ORBIT_TABLE_SIZE)
+def _orbit_partitions(total: int, family: str) -> tuple[Partition, ...]:
+    """Every type-``family`` orbit partition of ``total``, in :func:`partitions_of` order."""
+    return tuple(q for q in partitions_of(total) if _is_orbit(q, family))
+
+
 def collapse_oracle(p, family: str) -> Partition:
     """Dominance-maximum type-``family`` partition below ``p``, by full enumeration."""
     p = _collapse_input(p, family)
-    cands = [q for q in partitions_of(sum(p)) if _is_orbit(q, family) and _dominates(p, q)]
+    cands = [q for q in _orbit_partitions(sum(p), family) if _dominates(p, q)]
     return _unique_max(cands, f"collapse of {p} in type {family}")
 
 
@@ -73,11 +89,7 @@ def expand_oracle(p, family: str) -> Partition:
     p = as_partition(p)
     if not is_orbit_partition(p, family):
         raise DomainError(f"{p} is not an orbit partition of type {family}")
-    cands = [
-        q
-        for q in partitions_of(sum(p))
-        if _is_orbit(q, family) and _is_special(q, family) and _dominates(q, p)
-    ]
+    cands = [q for q in _orbit_partitions(sum(p), family) if _is_special(q, family) and _dominates(q, p)]
     return _unique_min(cands, f"expansion of {p} in type {family}")
 
 
@@ -97,11 +109,7 @@ def restricted_transform_oracle(p, family: str) -> Partition:
     parity = "odd" if family in ("B", "C") else "even"
     target = sum(p) + 1 if family == "B" else sum(p)
     ph = hollow(p, parity)
-    cands = [
-        q
-        for q in partitions_of(target)
-        if _is_orbit(q, family) and _hollow(q, parity) == ph
-    ]
+    cands = [q for q in _orbit_partitions(target, family) if _hollow(q, parity) == ph]
     if not cands:
         raise IntegrityError(f"no type-{family} partition of {target} shares the {parity} boxes of {p}")
     if family == "B":
@@ -170,7 +178,19 @@ def gk_dimension_oracle(weight, family: str) -> int:
 
 
 def _check_budget(budget: EnumerationBudget) -> None:
-    """Refuse a budget under which a check would compare nothing and still pass."""
+    """Refuse a budget of the wrong types, or one under which a check would compare nothing and still pass."""
+    for field in ("max_total", "max_n"):
+        value = getattr(budget, field)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DomainError(f"bad budget {field}={value!r}: must be an int")
+    window = budget.entry_window
+    if (
+        not isinstance(window, tuple)
+        or len(window) != 2
+        or any(isinstance(v, bool) or not isinstance(v, int) for v in window)
+        or window[0] > window[1]
+    ):
+        raise DomainError(f"bad budget entry_window={window!r}: must be a pair of ints lo <= hi")
     if budget.max_total < 0:
         raise DomainError(f"bad budget max_total={budget.max_total}: must be at least 0")
     if budget.max_n < 1:
@@ -185,15 +205,33 @@ def integral_weights(n: int, window: tuple[int, int]):
     return product(range(lo, hi + 1), repeat=n)
 
 
+def _falling_chains(size: int, window: tuple[int, int]) -> list[tuple[int, ...]]:
+    """Every strictly decreasing sequence of ``size`` entries in the window, in ascending order."""
+    lo, hi = window
+    # combinations of the falling range come in descending order
+    return list(combinations(range(hi, lo - 1, -1), size))[::-1]
+
+
 def _dominant_weights(setup: ParabolicSetup, budget: EnumerationBudget) -> list[tuple[int, ...]]:
+    """The p-dominant weights of ``integral_weights(setup.n, budget.entry_window)``, in its order.
+
+    An integral weight is p-dominant when it falls strictly inside each block
+    of the original composition and passes the tail root's test, so the
+    weights are the products of each block's falling chains, concatenated,
+    that :func:`_p_dominant` keeps.  Each factor is in ascending order, so the
+    product is too.
+    """
     if setup.n > budget.max_n:
         raise DomainError(f"rank {setup.n} exceeds budget max_n={budget.max_n}")
     ones = [1] * setup.n
-    return [w for w in integral_weights(setup.n, budget.entry_window) if _p_dominant(w, ones, setup)]
+    chains = [_falling_chains(size, budget.entry_window) for size in setup.composition]
+    weights = map(tuple, map(chain.from_iterable, product(*chains)))
+    return [w for w in weights if _p_dominant(w, ones, setup)]
 
 
 def socular_enumeration(setup: ParabolicSetup, budget: EnumerationBudget):
     """Maximum GK dimension over windowed integral p-dominant weights, with witnesses."""
+    _check_budget(budget)
     weights = _dominant_weights(setup, budget)
     gks = [gk_dimension(w, setup.family) for w in weights]
     best = max(gks, default=-1)
@@ -247,21 +285,31 @@ def check_halg(budget: EnumerationBudget) -> list[str]:
 def check_socular(budget: EnumerationBudget, families=("A", "B", "C", "D")) -> list[str]:
     """For every setup: max GK equals dim(u) and the attaining weights are the socular ones.
 
-    GK dimension is computed once per p-dominant weight; the verdict comes from
-    the combinatorial criterion alone (every window weight is integral).  A
-    setup whose window holds no p-dominant weight has nothing to compare and is
-    skipped; a call in which no setup compares anything raises ``DomainError``.
+    GK dimension and the criterion's candidate side are computed once per
+    distinct p-dominant weight of each family and rank, however many setups of
+    that rank hold the weight; the verdict comes from the combinatorial
+    criterion alone (every window weight is integral).  A setup whose window
+    holds no p-dominant weight has nothing to compare and is skipped; a call in
+    which no setup compares anything raises ``DomainError``.
     """
     _check_budget(budget)
     failures = []
     compared = 0
     for family in families:
+        rank = None
         for setup in _all_setups(family, budget.max_n):
+            if setup.n != rank:  # both memos hold one rank's weights at a time
+                rank, gk_of, candidate_of = setup.n, {}, {}
             dominant = _dominant_weights(setup, budget)
             if not dominant:
                 continue
             compared += 1
-            gks = [gk_dimension(w, family) for w in dominant]
+            gks = []
+            for w in dominant:
+                g = gk_of.get(w)
+                if g is None:
+                    g = gk_of[w] = gk_dimension(w, family)
+                gks.append(g)
             best = max(gks)
             du = dim_nilradical(setup)
             if best != du:
@@ -269,7 +317,10 @@ def check_socular(budget: EnumerationBudget, families=("A", "B", "C", "D")) -> l
                 continue
             target = _integral_target(setup)
             for w, g in zip(dominant, gks):
-                verdict = _integral_criterion(w, setup, target)[0]
+                candidate = candidate_of.get(w)
+                if candidate is None:
+                    candidate = candidate_of[w] = _integral_candidate(w, family)
+                verdict = candidate == target
                 if verdict != (g == best):
                     failures.append(
                         f"{setup}, weight {w}: criterion says {verdict}, "

@@ -162,6 +162,14 @@ def _integral_target(setup: ParabolicSetup):
     return _hollow(z_diagram(a0, bs).shape, _PARITY[setup.family])
 
 
+def _integral_candidate(nums: tuple[int, ...], family: str):
+    """The weight's side of the integral socularity test: the transposed tableau
+    shape for A, the hollow shape of the doubled weight's tableau for B/C/D."""
+    if family == "A":
+        return _transpose(rs_shape(nums))
+    return _hollow(rs_shape(double(nums)), _PARITY[family])
+
+
 def _integral_criterion(nums: tuple[int, ...], setup: ParabolicSetup, target):
     """The integral socularity test of the weight ``nums`` against ``_integral_target(setup)``.
 
@@ -169,9 +177,9 @@ def _integral_criterion(nums: tuple[int, ...], setup: ParabolicSetup, target):
     compares the transposed tableau shape with the sorted composition; B/C/D
     match the hollow shape of the doubled weight against the Z-diagram's.
     """
+    candidate = _integral_candidate(nums, setup.family)
     if setup.family == "A":
-        return _transpose(rs_shape(nums)) == target, "typeA-shape", None, None
-    candidate = _hollow(rs_shape(double(nums)), _PARITY[setup.family])
+        return candidate == target, "typeA-shape", None, None
     return candidate == target, "hollow-match", candidate, target
 
 

@@ -49,9 +49,16 @@ def format_weight(weight) -> str:
     return ",".join(str(v) for v in weight)
 
 
+def _not_a_sequence(weight) -> DomainError:
+    return DomainError(f"a weight must be a sequence of entries, got {weight!r}")
+
+
 def double(weight, side: str = "back") -> tuple:
     """The doubling maps: back gives (x_1,...,x_n,-x_n,...,-x_1), front the reverse half first."""
-    w = tuple(weight)
+    try:
+        w = tuple(weight)
+    except TypeError:
+        raise _not_a_sequence(weight) from None
     if side == "back":
         return w + tuple([-v for v in reversed(w)])
     if side == "front":
@@ -82,7 +89,7 @@ def integer_entries(weight) -> tuple[list[int], list[int]]:
     try:
         w = tuple(weight)
     except TypeError:
-        raise DomainError(f"a weight must be a sequence of entries, got {weight!r}") from None
+        raise _not_a_sequence(weight) from None
     for v in w:
         if type(v) is not int and type(v) is not Fraction:  # the common types skip the call
             _exact(v)
@@ -139,7 +146,10 @@ def congruence_decompose(weight, grouping: str) -> CongruenceSplit:
     """
     if grouping not in ("typeA", "bcd"):
         raise DomainError(f"grouping must be 'typeA' or 'bcd', got {grouping!r}")
-    w = tuple(map(_as_fraction, weight))
+    try:
+        w = tuple(map(_as_fraction, weight))
+    except TypeError:
+        raise _not_a_sequence(weight) from None
     buckets = class_buckets(*integer_entries(w), grouping == "bcd")
     classes = {
         key: CongruenceClass(
@@ -166,7 +176,10 @@ def tilde(values) -> tuple:
     The entries congruent to the first one (by integral difference) stay put;
     the remaining entries are negated and appended in reversed order.
     """
-    vals = tuple(map(_as_fraction, values))
+    try:
+        vals = tuple(map(_as_fraction, values))
+    except TypeError:
+        raise _not_a_sequence(values) from None
     return _tilde(vals, _residue) if vals else ()
 
 

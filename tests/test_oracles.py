@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from socular import (
@@ -15,7 +17,8 @@ from socular import (
 )
 from socular import gkdim, oracles
 from socular.oracles import check_collapse, check_halg, check_socular, integral_weights
-from socular.partitions import ORBIT_FAMILIES, partitions_of
+from socular.parabolic import _p_dominant
+from socular.partitions import ORBIT_FAMILIES, _is_orbit, partitions_of
 
 
 def test_collapse_oracle_fixed_points():
@@ -125,13 +128,16 @@ def test_check_socular_still_reports_a_wrong_maximum(monkeypatch):
 
 
 def test_check_socular_computes_gk_once_per_dominant_weight(monkeypatch):
+    # once per distinct (family, weight), however many setups of its rank hold it
     budget = EnumerationBudget(entry_window=(-3, 3), max_n=2)
-    dominant = sum(
-        1
-        for family in "ABCD"
-        for setup in oracles._all_setups(family, budget.max_n)
-        for w in integral_weights(setup.n, budget.entry_window)
-        if is_p_dominant(w, setup)
+    dominant = len(
+        {
+            (family, w)
+            for family in "ABCD"
+            for setup in oracles._all_setups(family, budget.max_n)
+            for w in integral_weights(setup.n, budget.entry_window)
+            if is_p_dominant(w, setup)
+        }
     )
     calls = {"oracles": 0, "core": 0}
     real_gk_dimension, real_gk = oracles.gk_dimension, gkdim._gk
@@ -147,5 +153,72 @@ def test_check_socular_computes_gk_once_per_dominant_weight(monkeypatch):
     monkeypatch.setattr(oracles, "gk_dimension", counting_gk_dimension)
     monkeypatch.setattr(gkdim, "_gk", counting_gk)
     assert check_socular(budget) == []
-    assert dominant == 378
+    assert dominant == 210
     assert calls == {"oracles": dominant, "core": dominant}
+
+
+def _enumerate_b1(budget):
+    return socular_enumeration(parabolic_from_composition("B", (1,)), budget)
+
+
+@pytest.mark.parametrize("check", [check_collapse, check_halg, check_socular, _enumerate_b1])
+@pytest.mark.parametrize(
+    "budget, field",
+    [
+        (EnumerationBudget(entry_window=(-2.5, 2), max_n=1), "entry_window"),
+        (EnumerationBudget(entry_window=(True, 2), max_n=1), "entry_window"),
+        (EnumerationBudget(entry_window=(-2,), max_n=1), "entry_window"),
+        (EnumerationBudget(entry_window=[-2, 2], max_n=1), "entry_window"),
+        (EnumerationBudget(entry_window=(2, -2), max_n=1), "entry_window"),
+        (EnumerationBudget(max_n=2.5), "max_n"),
+        (EnumerationBudget(max_n=True), "max_n"),
+        (EnumerationBudget(max_total=2.5), "max_total"),
+        (EnumerationBudget(max_total="3"), "max_total"),
+    ],
+)
+def test_checks_refuse_a_budget_of_the_wrong_type(check, budget, field):
+    with pytest.raises(DomainError, match=f"^bad budget {field}="):
+        check(budget)
+
+
+@pytest.mark.parametrize("window", [(-6, 6), (-2, 3), (0, 0), (1, 4), (1, 2)])
+def test_dominant_weights_are_the_filtered_window_in_order(window):
+    budget = EnumerationBudget(entry_window=window, max_n=4)
+    window_weights = {n: list(integral_weights(n, window)) for n in range(1, 5)}
+    sizes = []
+    for family in "ABCD":
+        for setup in oracles._all_setups(family, 4):
+            ones = [1] * setup.n
+            want = [w for w in window_weights[setup.n] if _p_dominant(w, ones, setup)]
+            assert oracles._dominant_weights(setup, budget) == want, (setup, window)
+            sizes.append(len(want))
+    assert max(sizes) > 0
+    if window == (1, 2):  # B3 with composition (3,) needs x1 > x2 > x3 > 0: none inside
+        assert oracles._dominant_weights(parabolic_from_composition("B", (3,)), budget) == []
+
+
+def test_orbit_partition_tables_are_the_filtered_partitions():
+    for total in range(21):
+        for family in ORBIT_FAMILIES:
+            want = tuple(q for q in partitions_of(total) if _is_orbit(q, family))
+            assert oracles._orbit_partitions(total, family) == want, (total, family)
+    assert oracles._orbit_partitions.cache_info().maxsize is not None
+
+
+def test_check_halg_enumerates_each_total_and_family_once(monkeypatch):
+    calls = Counter()
+    real_partitions_of = oracles.partitions_of
+
+    def counting_partitions_of(n, *args):
+        calls[n] += 1
+        return real_partitions_of(n, *args)
+
+    oracles._orbit_partitions.cache_clear()
+    monkeypatch.setattr(oracles, "partitions_of", counting_partitions_of)
+    assert check_halg(EnumerationBudget(max_total=16)) == []
+    oracles._orbit_partitions.cache_clear()
+    # the outer loop once per even total, then one table per (target total, family):
+    # C and D at the total itself, B one box larger
+    outer = Counter(range(0, 17, 2))
+    tables = Counter(t for total in range(0, 17, 2) for t in (total, total, total + 1))
+    assert calls == outer + tables

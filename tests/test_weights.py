@@ -154,3 +154,18 @@ def test_socularity_rejects_float_entries():
         is_integral((F(1, 2), 1.0))  # also after an entry that is not integral
     with pytest.raises(DomainError):
         congruence_decompose((F(1, 2), False), "bcd")
+
+
+def test_double_rejects_a_weight_that_is_not_a_sequence():
+    with pytest.raises(DomainError, match="^a weight must be a sequence of entries, got 5$"):
+        double(5)
+
+
+def test_tilde_rejects_a_weight_that_is_not_a_sequence():
+    with pytest.raises(DomainError, match="^a weight must be a sequence of entries, got 5$"):
+        tilde(5)
+
+
+def test_congruence_decompose_rejects_a_weight_that_is_not_a_sequence():
+    with pytest.raises(DomainError, match="^a weight must be a sequence of entries, got 5$"):
+        congruence_decompose(5, "bcd")
