@@ -14,6 +14,7 @@ import sys
 
 import socular
 
+from .hollow import FAMILY_PARITY, _cells as _hollow_cells
 from .partitions import format_partition
 
 USAGE_ERROR, DOMAIN_ERROR, INTEGRITY_ERROR = 1, 2, 3
@@ -91,9 +92,9 @@ def _cmd_socular(args) -> dict | str:
         return f"socular: {'true' if cert.verdict else 'false'}"
     payload = {"socular": cert.verdict, "gkdim": cert.gk, "dim_u": cert.dim_u, "reason": cert.reason}
     if cert.candidate_hollow is not None:
-        key = "odd_cells" if setup.family in ("B", "C") else "even_cells"
-        payload[key] = _cells(cert.candidate_hollow)
-        payload["target_" + key] = _cells(cert.target_hollow)
+        parity = FAMILY_PARITY[setup.family]
+        payload[parity + "_cells"] = _cells(_hollow_cells(cert.candidate_hollow, parity))
+        payload[f"target_{parity}_cells"] = _cells(_hollow_cells(cert.target_hollow, parity))
     return payload
 
 

@@ -1,17 +1,21 @@
 """Even/odd box statistics of Young diagrams and the F_a, F_b, F_d invariants.
 
 The box in row k, column l (both 1-based) is even when k+l is even and odd
-when k+l is odd.  A hollow shape keeps only the cells of one parity; the main
-socularity criteria compare hollow shapes as plain sets of cells.
+when k+l is odd.  A hollow shape keeps only the cells of one parity; it is
+fixed by its per-row counts (p^ev or p^odd), which is how the library compares
+hollow shapes.  Only :func:`hollow` builds the cells.
 """
 
-from functools import lru_cache
+from itertools import cycle, repeat
+from operator import add, floordiv
 
 from .errors import DomainError
 from .partitions import Partition, _transpose, as_partition
-from .tableaux import CACHE_SIZE, rs_shape
+from .tableaux import rs_shape
 
 PARITIES = ("odd", "even")
+
+FAMILY_PARITY = {"B": "odd", "C": "odd", "D": "even"}  # the boxes each orbit family reads
 
 HollowShape = frozenset[tuple[int, int]]
 
@@ -21,18 +25,35 @@ def _check_parity(parity: str) -> None:
         raise DomainError(f"parity must be 'odd' or 'even', got {parity!r}")
 
 
-def _row_count(length: int, row: int, parity: str) -> int:
-    # closed form: row 1 starts with an even box, row 2 with an odd box, ...
-    if (parity == "even") == (row % 2 == 1):
-        return (length + 1) // 2
-    return length // 2
+def _row_counts(p: Partition, parity: str) -> tuple[int, ...]:
+    """Per-row counts of the boxes of ``parity`` in a canonical partition, unchecked.
+
+    Row k starts with an even box when k is odd, so ceil(L/2) of its L boxes
+    are even for odd k and floor(L/2) for even k."""
+    lead = cycle((1, 0) if parity == "even" else (0, 1))
+    return tuple(map(floordiv, map(add, p, lead), repeat(2)))
+
+
+def _hollow_key(p: Partition, parity: str) -> tuple[int, ...]:
+    """:func:`_row_counts` without the one trailing zero that 1-rows, alternating
+    1 and 0, may leave: partitions of any totals share a hollow shape exactly
+    when their keys are equal."""
+    counts = _row_counts(p, parity)
+    return counts[:-1] if counts and not counts[-1] else counts
+
+
+def _cells(counts, parity: str) -> HollowShape:
+    """The hollow shape of ``parity`` with the given per-row counts: row k's
+    cells start in column 1 or 2 and step by 2."""
+    bit = 1 if parity == "odd" else 0
+    return frozenset((k, l) for k, c in enumerate(counts, 1) for l in range(2 - (k + bit) % 2, 2 * c + 1, 2))
 
 
 def row_parity_counts(p, parity: str) -> tuple[int, ...]:
     """Per-row counts of boxes of the given parity (p^ev / p^odd)."""
     p = as_partition(p)
     _check_parity(parity)
-    return tuple(_row_count(length, i, parity) for i, length in enumerate(p, 1))
+    return _row_counts(p, parity)
 
 
 def parity_profile(p) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -43,29 +64,13 @@ def parity_profile(p) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]
     """
     p = as_partition(p)
     q = _transpose(p)
-    return (
-        row_parity_counts(p, "even"),
-        row_parity_counts(p, "odd"),
-        row_parity_counts(q, "even"),
-        row_parity_counts(q, "odd"),
-    )
+    return (_row_counts(p, "even"), _row_counts(p, "odd"), _row_counts(q, "even"), _row_counts(q, "odd"))
 
 
 def hollow(p, parity: str) -> HollowShape:
     """The set of cells of the requested parity inside the diagram of ``p``."""
     _check_parity(parity)
-    return _hollow(as_partition(p), parity)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _hollow(p: Partition, parity: str) -> HollowShape:
-    bit = 1 if parity == "odd" else 0
-    return frozenset(
-        (k, l)
-        for k, length in enumerate(p, 1)
-        for l in range(1, length + 1)
-        if (k + l) % 2 == bit
-    )
+    return _cells(_row_counts(as_partition(p), parity), parity)
 
 
 def f_stat(shape, kind: str) -> int:
@@ -84,8 +89,7 @@ def _f_stat(sh: Partition, kind: str) -> int:
     """:func:`f_stat` of a canonical partition and a valid kind, unchecked."""
     if kind == "a":
         return sum(c * (c - 1) // 2 for c in _transpose(sh))
-    parity = "odd" if kind == "b" else "even"
-    return sum((i - 1) * _row_count(length, i, parity) for i, length in enumerate(sh, 1))
+    return sum(i * c for i, c in enumerate(_row_counts(sh, "odd" if kind == "b" else "even")))
 
 
 def f_stat_sequence(seq, kind: str) -> int:
@@ -96,16 +100,14 @@ def f_stat_sequence(seq, kind: str) -> int:
 def f_stat_column_form(p, kind: str) -> int:
     """The dual expressions for F_b / F_d in terms of column parity counts.
 
-    Used as a consistency cross-check against :func:`f_stat`.
+    Used as a consistency cross-check against :func:`f_stat`.  Column i with c
+    boxes of the kind's parity adds c^2 when i is odd for F_b or even for F_d,
+    and c(c-1) otherwise.
     """
-    q = _transpose(as_partition(p))
-    if kind == "b":
-        counts = row_parity_counts(q, "odd")
-        return sum(c * c if i % 2 == 1 else c * (c - 1) for i, c in enumerate(counts, 1))
-    if kind == "d":
-        counts = row_parity_counts(q, "even")
-        return sum(c * (c - 1) if i % 2 == 1 else c * c for i, c in enumerate(counts, 1))
-    raise DomainError(f"column form exists for kinds 'b' and 'd' only, got {kind!r}")
+    if kind not in ("b", "d"):
+        raise DomainError(f"column form exists for kinds 'b' and 'd' only, got {kind!r}")
+    counts = _row_counts(_transpose(as_partition(p)), "odd" if kind == "b" else "even")
+    return sum(c * c if i % 2 == (kind == "b") else c * (c - 1) for i, c in enumerate(counts, 1))
 
 
 def render_diagram(p) -> str:

@@ -10,7 +10,7 @@ Each oracle validates its argument once; the partitions it enumerates come from
 unchecked kernels of :mod:`socular.partitions` and :mod:`socular.hollow`.
 
 A sweep enumerates each candidate set once: the orbit partitions of a total
-are one cached table that every oracle call of that total filters, the
+are one cached table that oracle calls filter or look up by hollow key, the
 p-dominant weights of a window are generated block by block instead of
 filtered out of the whole window, and ``check_socular`` computes GK dimension
 and the criterion's candidate once per weight of a rank, not once per setup.
@@ -23,12 +23,12 @@ from typing import NamedTuple
 
 from .errors import DomainError, IntegrityError
 from .gkdim import check_family, gk_dimension
-from .hollow import _hollow, f_stat, hollow
+from .hollow import FAMILY_PARITY, _hollow_key, f_stat
 from .parabolic import (
     ParabolicSetup,
     _integral_candidate,
     _integral_target,
-    _p_dominant,
+    _tail_dominant,
     dim_nilradical,
     parabolic_from_roots,
 )
@@ -77,6 +77,15 @@ def _orbit_partitions(total: int, family: str) -> tuple[Partition, ...]:
     return tuple(q for q in partitions_of(total) if _is_orbit(q, family))
 
 
+@lru_cache(maxsize=ORBIT_TABLE_SIZE)
+def _orbit_partitions_by_hollow(total: int, family: str) -> dict[tuple[int, ...], tuple[Partition, ...]]:
+    """:func:`_orbit_partitions` grouped by their hollow keys in the family's parity, each group in order."""
+    groups: dict[tuple[int, ...], list[Partition]] = {}
+    for q in _orbit_partitions(total, family):
+        groups.setdefault(_hollow_key(q, FAMILY_PARITY[family]), []).append(q)
+    return {key: tuple(group) for key, group in groups.items()}
+
+
 def collapse_oracle(p, family: str) -> Partition:
     """Dominance-maximum type-``family`` partition below ``p``, by full enumeration."""
     p = _collapse_input(p, family)
@@ -106,11 +115,10 @@ def restricted_transform_oracle(p, family: str) -> Partition:
     _check_orbit_family(family)
     if not is_domino_type(p):
         raise DomainError(f"{p} is not of domino type")
-    parity = "odd" if family in ("B", "C") else "even"
+    parity = FAMILY_PARITY[family]
     target = sum(p) + 1 if family == "B" else sum(p)
-    ph = hollow(p, parity)
-    cands = [q for q in _orbit_partitions(target, family) if _hollow(q, parity) == ph]
-    if not cands:
+    cands = _orbit_partitions_by_hollow(target, family).get(_hollow_key(p, parity))
+    if cands is None:
         raise IntegrityError(f"no type-{family} partition of {target} shares the {parity} boxes of {p}")
     if family == "B":
         reference = (p[0] + 1,) + p[1:] if p else (1,)
@@ -218,15 +226,15 @@ def _dominant_weights(setup: ParabolicSetup, budget: EnumerationBudget) -> list[
     An integral weight is p-dominant when it falls strictly inside each block
     of the original composition and passes the tail root's test, so the
     weights are the products of each block's falling chains, concatenated,
-    that :func:`_p_dominant` keeps.  Each factor is in ascending order, so the
-    product is too.
+    that :func:`_tail_dominant` keeps.  Each factor is in ascending order, so
+    the product is too.
     """
     if setup.n > budget.max_n:
         raise DomainError(f"rank {setup.n} exceeds budget max_n={budget.max_n}")
     ones = [1] * setup.n
     chains = [_falling_chains(size, budget.entry_window) for size in setup.composition]
     weights = map(tuple, map(chain.from_iterable, product(*chains)))
-    return [w for w in weights if _p_dominant(w, ones, setup)]
+    return [w for w in weights if _tail_dominant(w, ones, setup)]
 
 
 def socular_enumeration(setup: ParabolicSetup, budget: EnumerationBudget):

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, IntegrityError
 from .gkdim import _gk, check_family
-from .hollow import HollowShape, _hollow
+from .hollow import FAMILY_PARITY, _hollow_key
 from .partitions import _transpose
 from .tableaux import rs_shape
 from .weights import double, integer_entries
@@ -36,8 +36,9 @@ class SocularCertificate(NamedTuple):
     gk: int
     dim_u: int
     reason: str  # "hollow-match", "gk-equality" or "typeA-shape"
-    candidate_hollow: HollowShape | None = None
-    target_hollow: HollowShape | None = None
+    # integral B/C/D: the hollow keys (per-row box counts) of the two shapes compared
+    candidate_hollow: tuple[int, ...] | None = None
+    target_hollow: tuple[int, ...] | None = None
 
 
 def _setup(family: str, n: int, excluded: frozenset[int], composition: tuple[int, ...]) -> ParabolicSetup:
@@ -117,20 +118,26 @@ def _p_dominant(nums: list[int], dens: list[int], setup: ParabolicSetup) -> bool
     a/d - b/e is a positive integer only when d == e and a - b is a positive
     multiple of d; sums alike.
     """
-    n = setup.n
-    for i in range(1, n):
+    for i in range(1, setup.n):
         if i not in setup.excluded:
             d = dens[i - 1]
             if dens[i] != d or not _positive_multiple(nums[i - 1] - nums[i], d):
                 return False
-    if setup.family != "A" and n not in setup.excluded:
-        x, d = nums[n - 1], dens[n - 1]
-        if setup.family == "B":
-            return _positive_multiple(2 * x, d)
-        if setup.family == "C":
-            return _positive_multiple(x, d)
-        return dens[n - 2] == d and _positive_multiple(nums[n - 2] + x, d)
-    return True
+    return _tail_dominant(nums, dens, setup)
+
+
+def _tail_dominant(nums: list[int], dens: list[int], setup: ParabolicSetup) -> bool:
+    """The tail root's part of :func:`_p_dominant`: alpha_n, when B/C/D retain it,
+    pairs with the weight to a positive integer; unchecked."""
+    n = setup.n
+    if setup.family == "A" or n in setup.excluded:
+        return True
+    x, d = nums[n - 1], dens[n - 1]
+    if setup.family == "B":
+        return _positive_multiple(2 * x, d)
+    if setup.family == "C":
+        return _positive_multiple(x, d)
+    return dens[n - 2] == d and _positive_multiple(nums[n - 2] + x, d)
 
 
 def _read(weight, setup: ParabolicSetup) -> tuple[list[int], list[int]]:
@@ -150,65 +157,47 @@ def is_p_dominant(weight, setup: ParabolicSetup) -> bool:
     return _p_dominant(*_read(weight, setup), setup)
 
 
-_PARITY = {"B": "odd", "C": "odd", "D": "even"}
-
-
 def _integral_target(setup: ParabolicSetup):
     """The setup's side of the integral socularity test: the sorted composition
-    for A, the hollow shape of the Z-diagram for B/C/D."""
+    for A, the hollow key of the Z-diagram for B/C/D."""
     if setup.family == "A":
         return tuple(sorted(setup.normalized_composition, reverse=True))
     a0, bs = z_type(setup)
-    return _hollow(z_diagram(a0, bs).shape, _PARITY[setup.family])
+    return _hollow_key(z_diagram(a0, bs).shape, FAMILY_PARITY[setup.family])
 
 
 def _integral_candidate(nums: tuple[int, ...], family: str):
     """The weight's side of the integral socularity test: the transposed tableau
-    shape for A, the hollow shape of the doubled weight's tableau for B/C/D."""
+    shape for A, the hollow key of the doubled weight's tableau for B/C/D."""
     if family == "A":
         return _transpose(rs_shape(nums))
-    return _hollow(rs_shape(double(nums)), _PARITY[family])
-
-
-def _integral_criterion(nums: tuple[int, ...], setup: ParabolicSetup, target):
-    """The integral socularity test of the weight ``nums`` against ``_integral_target(setup)``.
-
-    Returns (verdict, reason, candidate hollow, target hollow).  Type A
-    compares the transposed tableau shape with the sorted composition; B/C/D
-    match the hollow shape of the doubled weight against the Z-diagram's.
-    """
-    candidate = _integral_candidate(nums, setup.family)
-    if setup.family == "A":
-        return candidate == target, "typeA-shape", None, None
-    return candidate == target, "hollow-match", candidate, target
+    return _hollow_key(rs_shape(double(nums)), FAMILY_PARITY[family])
 
 
 def is_socular(weight, setup: ParabolicSetup) -> SocularCertificate:
     """Decide whether L(lambda) lies in the socle of a generalized Verma module.
 
-    Integral weights use the combinatorial criteria (tableau transpose for A,
-    hollow-shape match against the Z-diagram for B/C/D) on their ints, which
-    hit the rs_shape entry of the GK call; non-integral weights are decided by
-    GK dimension reaching dim(u).
+    Integral weights use the combinatorial criteria on their ints, which hit
+    the rs_shape entry of the GK call: type A compares the transposed tableau
+    shape with the sorted composition, B/C/D match the hollow key of the
+    doubled weight's tableau against the Z-diagram's and certify both keys.
+    Non-integral weights are decided by GK dimension reaching dim(u).
     """
     nums, dens = _read(weight, setup)
     if not _p_dominant(nums, dens, setup):
         raise DomainError("L(lambda) not in O^p: weight is not p-dominant")
     gk = _gk(nums, dens, setup.family)[0]
     du = dim_nilradical(setup)
-    if dens.count(1) == len(dens):
-        verdict, reason, candidate, target = _integral_criterion(tuple(nums), setup, _integral_target(setup))
+    candidate = target = None
+    if dens.count(1) != len(dens):
+        verdict, reason = gk == du, "gk-equality"
+    elif setup.family == "A":
+        verdict, reason = _integral_candidate(tuple(nums), "A") == _integral_target(setup), "typeA-shape"
     else:
-        verdict, reason, candidate, target = gk == du, "gk-equality", None, None
+        candidate, target = _integral_candidate(tuple(nums), setup.family), _integral_target(setup)
+        verdict, reason = candidate == target, "hollow-match"
     if verdict and gk != du:
         raise IntegrityError(
             f"socular verdict with GKdim {gk} != dim(u) {du} for {weight} in {setup}"
         )
-    return SocularCertificate(
-        verdict=verdict,
-        gk=gk,
-        dim_u=du,
-        reason=reason,
-        candidate_hollow=candidate,
-        target_hollow=target,
-    )
+    return SocularCertificate(verdict, gk, du, reason, candidate, target)

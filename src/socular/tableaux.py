@@ -18,8 +18,8 @@ Tableau = tuple[tuple, ...]
 
 EMPTY: Tableau = ()
 
-# bound on the rs_shape and hollow caches: well above the distinct inputs of a
-# batch of queries, small enough that a long-running process stays bounded
+# bound on the rs_shape cache: well above the distinct inputs of a batch of
+# queries, small enough that a long-running process stays bounded
 CACHE_SIZE = 1 << 14
 
 

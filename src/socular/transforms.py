@@ -15,7 +15,7 @@ even boxes (D).  It works on the hollow diagram of the retained parity:
 """
 
 from .errors import DomainError, IntegrityError
-from .hollow import hollow
+from .hollow import FAMILY_PARITY, _hollow_key
 from .partitions import Partition, _check_orbit_family, as_partition
 
 
@@ -63,7 +63,7 @@ def h_algorithm(p, family: str) -> Partition:
     if not is_domino_type(p):
         raise DomainError(f"{p} is not of domino type")
     doubled = sum(p)
-    parity = "odd" if family in ("B", "C") else "even"
+    parity = FAMILY_PARITY[family]
     bit = 1 if parity == "odd" else 0
     n_rows = len(p)
     last = [_last_parity_column(i + 1, p[i], bit) for i in range(n_rows)]
@@ -101,6 +101,6 @@ def h_algorithm(p, family: str) -> Partition:
             f"H-algorithm total {sum(out)} != target {target} for {p} in type {family}"
         )
     result = tuple(out)
-    if hollow(result, parity) != hollow(p, parity):
+    if _hollow_key(result, parity) != _hollow_key(p, parity):
         raise IntegrityError(f"H-algorithm moved {parity} boxes on {p} in type {family}")
     return result

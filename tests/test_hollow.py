@@ -1,7 +1,7 @@
 import pytest
 
 from socular import DomainError, f_stat, f_stat_sequence, hollow, parity_profile, partitions_of, render_diagram, render_hollow
-from socular.hollow import _hollow, f_stat_column_form, row_parity_counts
+from socular.hollow import _hollow_key, f_stat_column_form, row_parity_counts
 
 from helpers import all_partitions
 
@@ -56,17 +56,17 @@ def test_hollow_examples():
     assert hollow((5, 3), "even") == {(1, 1), (1, 3), (1, 5), (2, 2)}
 
 
-def test_hollow_cache_is_bounded():
-    bound = _hollow.cache_info().maxsize
-    assert bound is not None
-    calls = 0
-    for total in range(26):
-        for p in partitions_of(total):
-            hollow(p, "odd")
-            hollow(p, "even")
-            calls += 2
-    assert calls > bound
-    assert _hollow.cache_info().currsize == bound
+def test_hollow_is_the_cell_definition_and_keys_group_partitions_alike():
+    # over every total up to 30, not only within one: equal keys exactly when equal cells
+    for parity in ("odd", "even"):
+        key_of, cells_of = {}, {}
+        for total in range(31):
+            for p in partitions_of(total):
+                cells = frozenset(_cells_by_enumeration(p, parity))
+                assert hollow(p, parity) == cells, (p, parity)
+                key = _hollow_key(p, parity)
+                assert key_of.setdefault(cells, key) == key, (p, parity)
+                assert cells_of.setdefault(key, cells) == cells, (p, parity)
 
 
 def test_hollow_partitions_cells():

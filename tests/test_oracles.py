@@ -214,9 +214,11 @@ def test_check_halg_enumerates_each_total_and_family_once(monkeypatch):
         return real_partitions_of(n, *args)
 
     oracles._orbit_partitions.cache_clear()
+    oracles._orbit_partitions_by_hollow.cache_clear()
     monkeypatch.setattr(oracles, "partitions_of", counting_partitions_of)
     assert check_halg(EnumerationBudget(max_total=16)) == []
     oracles._orbit_partitions.cache_clear()
+    oracles._orbit_partitions_by_hollow.cache_clear()
     # the outer loop once per even total, then one table per (target total, family):
     # C and D at the total itself, B one box larger
     outer = Counter(range(0, 17, 2))

@@ -1,7 +1,9 @@
 """The package surface: lazy exports and the immutable result records."""
 
 import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -88,6 +90,20 @@ def test_unknown_attribute_raises_the_usual_error():
     with pytest.raises(AttributeError, match=r"^module 'socular' has no attribute 'no_such_name'$"):
         socular.no_such_name
     assert not hasattr(socular, "check_socular")  # only the exported oracle names resolve lazily
+
+
+def test_every_library_cache_is_bounded():
+    # a long-running process must not grow without bound: every lru_cache of
+    # the package has a finite maxsize, and hollow shapes are not cached at all
+    sizes = {}
+    for info in pkgutil.iter_modules(socular.__path__):
+        module = importlib.import_module(f"socular.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                sizes[f"{info.name}.{name}"] = obj.cache_info().maxsize
+    assert {"tableaux.rs_shape", "oracles._orbit_partitions", "oracles._orbit_partitions_by_hollow"} <= set(sizes)
+    assert all(size is not None for size in sizes.values()), sizes
+    assert not [name for name in sizes if name.startswith("hollow.")]
 
 
 def _records():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 
@@ -7,16 +8,21 @@ import pytest
 from socular import (
     DomainError,
     dim_nilradical,
+    double,
     gk_breakdown,
     gk_dimension,
+    hollow,
     is_integral,
     is_p_dominant,
     is_socular,
     parabolic_from_composition,
     parabolic_from_roots,
+    rs_shape,
+    z_diagram,
 )
 
 from socular.oracles import parabolic_setups
+from socular.parabolic import z_type
 
 from helpers import levi_positive_root_count
 
@@ -303,3 +309,76 @@ def test_type_a_shift_invariance():
             shifted = tuple(v + c for v in w)
             assert is_p_dominant(shifted, a3)
             assert is_socular(shifted, a3).verdict == verdict
+
+
+def _cell_set_criterion(w, setup):
+    """The integral B/C/D criterion on cell sets: (verdict, candidate cells, target cells)."""
+    parity = "odd" if setup.family in ("B", "C") else "even"
+    candidate = hollow(rs_shape(double(w)), parity)
+    target = hollow(z_diagram(*z_type(setup)).shape, parity)
+    return candidate == target, candidate, target
+
+
+def _row_counts_of(cells):
+    rows = Counter(k for k, _ in cells)
+    return tuple(rows[k] for k in range(1, max(rows, default=0) + 1))
+
+
+def _random_composition(n, rng):
+    tail = rng.choice([0, rng.randint(1, n // 8)])
+    parts, left = [], n - tail
+    while left:
+        parts.append(min(left, rng.randint(1, n // 6)))
+        left -= parts[-1]
+    return (*parts, tail)
+
+
+def _dominant_weight(setup, rng, kind):
+    """An integral p-dominant weight: every block falls inside and a positive tail falls.
+
+    ``stacked`` puts each block below the next one, which is socular more often
+    than not; ``raised`` then lifts one block into its neighbours; ``random``
+    places each block anywhere.
+    """
+    n = setup.n
+    comp = setup.composition
+    while True:
+        blocks, top = [], -1
+        for size in reversed(comp[:-1]):
+            start = rng.randint(-3 * n, 3 * n) if kind == "random" else top - rng.randint(0, 2)
+            blocks.insert(0, [start - i for i in range(size)])
+            top = blocks[0][-1] - 1
+        if kind == "raised":
+            j = rng.randrange(len(blocks))
+            lift = rng.randint(1, 2 * len(blocks[j]) + 2)
+            blocks[j] = [v + lift for v in blocks[j]]
+        tail_top = comp[-1] + rng.randint(0, 2 * n)
+        w = (*(v for b in blocks for v in b), *range(tail_top, tail_top - comp[-1], -1))
+        if is_p_dominant(w, setup):
+            return w
+
+
+def test_socular_certificate_matches_the_cell_set_criterion_at_rank():
+    # the verdict and both certified hollow keys against the public cell sets
+    rng = random.Random(20231)
+    cases = [
+        ((-5, -6, -4, 2), parabolic_from_composition("B", (2, 1, 1))),
+        ((-6, -4, -5, -2, -3), parabolic_from_composition("D", (1, 2, 2, 0))),
+        ((-9, -5, -6, -7, 8), parabolic_from_roots("D", 5, {1, 4})),
+        ((-12, -9, -10, -11, -4, -5, -6, -7, -8, 4, 3), parabolic_from_roots("B", 11, {1, 4, 9})),
+    ]
+    for family in ("B", "C", "D"):
+        for kind in ("stacked", "raised", "random") * 4:
+            setup = parabolic_from_composition(family, _random_composition(rng.randint(64, 200), rng))
+            cases.append((_dominant_weight(setup, rng, kind), setup))
+    verdicts = Counter()
+    for w, setup in cases:
+        cert = is_socular(w, setup)
+        verdict, candidate, target = _cell_set_criterion(w, setup)
+        assert cert.reason == "hollow-match"
+        assert cert.verdict == verdict, (w, setup)
+        assert cert.candidate_hollow == _row_counts_of(candidate), (w, setup)
+        assert cert.target_hollow == _row_counts_of(target), (w, setup)
+        verdicts[setup.family, setup.n >= 64, verdict] += 1
+    for family in ("B", "C", "D"):
+        assert verdicts[family, True, True] and verdicts[family, True, False], verdicts
