@@ -49,7 +49,7 @@ _EXPORTS = {
     ),
     "richardson": ("RichardsonResult", "orbit_dimension", "richardson_partition"),
     "tableaux": ("render_tableau", "rs_insert", "rs_shape", "rs_tableau", "shape"),
-    "transforms": ("h_algorithm", "is_domino_type", "two_core"),
+    "transforms": ("h_algorithm", "is_domino_type"),
     "weights": (
         "CongruenceClass",
         "CongruenceSplit",

@@ -42,18 +42,18 @@ def _hollow_key(p: Partition, parity: str) -> tuple[int, ...]:
     return counts[:-1] if counts and not counts[-1] else counts
 
 
+def _first_column(k: int, parity: str) -> int:
+    """The column, 1 or 2, of the first box of ``parity`` in row k (1-based):
+    row k starts with an even box when k is odd."""
+    return 1 if k % 2 == (parity == "even") else 2
+
+
 def _cells(counts, parity: str) -> HollowShape:
     """The hollow shape of ``parity`` with the given per-row counts: row k's
-    cells start in column 1 or 2 and step by 2."""
-    bit = 1 if parity == "odd" else 0
-    return frozenset((k, l) for k, c in enumerate(counts, 1) for l in range(2 - (k + bit) % 2, 2 * c + 1, 2))
-
-
-def row_parity_counts(p, parity: str) -> tuple[int, ...]:
-    """Per-row counts of boxes of the given parity (p^ev / p^odd)."""
-    p = as_partition(p)
-    _check_parity(parity)
-    return _row_counts(p, parity)
+    cells start in its :func:`_first_column` and step by 2."""
+    return frozenset(
+        (k, l) for k, c in enumerate(counts, 1) for l in range(_first_column(k, parity), 2 * c + 1, 2)
+    )
 
 
 def parity_profile(p) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:

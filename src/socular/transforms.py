@@ -1,49 +1,33 @@
 """Domino-type detection and the H-algorithms of types B, C and D.
 
+Both read the rows from the hollow kernel's per-row parity counts
+(:func:`socular.hollow._row_counts`); the parity rule for a box is written
+only in :mod:`socular.hollow`.  A diagram is of domino type when half of its
+boxes are even: each domino covers one box of each parity, and the 2-core is
+a staircase (k, ..., 1), whose two parities differ unless k = 0.
+
 The H-algorithm turns a domino-type partition of 2n into a special partition
 (of 2n+1 for B, of 2n for C and D) with exactly the same odd boxes (B, C) or
-even boxes (D).  It works on the hollow diagram of the retained parity:
+even boxes (D).  It works on the hollow diagram of the retained parity, whose
+counts give each row's last retained column:
 
-1. keep only the retained-parity boxes;
-2. scan rows top to bottom, greedily pairing off consecutive rows whose last
+1. scan rows top to bottom, greedily pairing off consecutive rows whose last
    retained boxes form the one-step staircase (such a pair is left unlabeled
    and keeps its original row lengths); every other row gets the next label;
-3. rows of the extending label parity (odd labels for B, even labels for C
-   and D) get one terminal box appended after their last retained box;
-4. each surviving row is rebuilt to its last box, and a final 1-row is added
-   when one box is still missing from the target total (B and D only).
+2. labeled rows end at their last retained box, one box later for labels of
+   the extending parity (odd labels for B, even labels for C and D);
+3. B and D add a final 1-row when the rows fall one box short of the target.
 """
 
 from .errors import DomainError, IntegrityError
-from .hollow import FAMILY_PARITY, _hollow_key
+from .hollow import FAMILY_PARITY, _first_column, _hollow_key, _row_counts
 from .partitions import Partition, _check_orbit_family, as_partition
 
 
-def two_core(p) -> Partition:
-    """The 2-core: what remains after removing all removable dominoes."""
-    p = as_partition(p)
-    n = len(p)
-    beta = [p[i] + (n - 1 - i) for i in range(n)]
-    evens = sum(1 for b in beta if b % 2 == 0)
-    odds = n - evens
-    # slide the beads of each parity down to the lowest free positions
-    packed = sorted(
-        [2 * i for i in range(evens)] + [2 * i + 1 for i in range(odds)], reverse=True
-    )
-    core = [packed[i] - (n - 1 - i) for i in range(n)]
-    return tuple(c for c in core if c > 0)
-
-
 def is_domino_type(p) -> bool:
-    """Whether the diagram of ``p`` is tileable by dominoes (empty 2-core)."""
-    return two_core(p) == ()
-
-
-def _last_parity_column(row: int, length: int, parity_bit: int) -> int:
-    # largest l <= length with (row + l) % 2 == parity_bit; 0 when none exists
-    if length == 0:
-        return 0
-    return length if (row + length) % 2 == parity_bit else length - 1
+    """Whether the diagram of ``p`` is tileable by dominoes: as many even boxes as odd."""
+    p = as_partition(p)
+    return 2 * sum(_row_counts(p, "even")) == sum(p)
 
 
 def _pair_blocked(p: Partition, last: list[int], i: int, family: str) -> bool:
@@ -52,7 +36,7 @@ def _pair_blocked(p: Partition, last: list[int], i: int, family: str) -> bool:
     if family == "C":
         # equal rows ending with an even box sitting on an odd box in p itself;
         # beyond the staircase this only adds pairs of 1-rows led by an even box
-        return p[i] == p[i + 1] and (i + 1 + p[i]) % 2 == 0
+        return p[i] == p[i + 1] and last[i] < p[i]
     return False
 
 
@@ -62,44 +46,30 @@ def h_algorithm(p, family: str) -> Partition:
     _check_orbit_family(family)
     if not is_domino_type(p):
         raise DomainError(f"{p} is not of domino type")
-    doubled = sum(p)
     parity = FAMILY_PARITY[family]
-    bit = 1 if parity == "odd" else 0
-    n_rows = len(p)
-    last = [_last_parity_column(i + 1, p[i], bit) for i in range(n_rows)]
+    last = [2 * c - 2 + _first_column(k, parity) for k, c in enumerate(_row_counts(p, parity), 1)]
+    extending = 1 if family == "B" else 0
 
-    blocked = [False] * n_rows
-    label: dict[int, int] = {}
-    i, counter = 0, 1
-    while i < n_rows:
-        if i + 1 < n_rows and _pair_blocked(p, last, i, family):
-            blocked[i] = blocked[i + 1] = True
+    lengths: list[int] = []
+    i, label = 0, 1
+    while i < len(p):
+        if i + 1 < len(p) and _pair_blocked(p, last, i, family):
+            lengths += p[i : i + 2]
             i += 2
         else:
-            label[i] = counter
-            counter += 1
+            lengths.append(last[i] + 1 if label % 2 == extending else last[i])
+            label += 1
             i += 1
-
-    lengths = []
-    for r in range(n_rows):
-        if blocked[r]:
-            lengths.append(p[r])
-            continue
-        extend = label[r] % 2 == (1 if family == "B" else 0)
-        lengths.append(last[r] + 1 if extend else last[r])
 
     if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)):
         raise IntegrityError(f"H-algorithm rows not weakly decreasing: {lengths}")
     out = [v for v in lengths if v > 0]
 
-    target = doubled + 1 if family == "B" else doubled
-    short_by_one = doubled - 1 if family == "D" else doubled
-    if family != "C" and sum(out) == short_by_one:
+    target = sum(p) + 1 if family == "B" else sum(p)
+    if family != "C" and sum(out) == target - 1:
         out.append(1)
     if sum(out) != target:
-        raise IntegrityError(
-            f"H-algorithm total {sum(out)} != target {target} for {p} in type {family}"
-        )
+        raise IntegrityError(f"H-algorithm total {sum(out)} != target {target} for {p} in type {family}")
     result = tuple(out)
     if _hollow_key(result, parity) != _hollow_key(p, parity):
         raise IntegrityError(f"H-algorithm moved {parity} boxes on {p} in type {family}")

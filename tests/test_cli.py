@@ -329,6 +329,8 @@ CONTRACT = [
     ('oracle --check collapse --max-total 6', 0, 'collapse: all comparisons passed\n', ''),
     ('oracle --check halg --max-total 6', 0, 'halg: all comparisons passed\n', ''),
     ('oracle --check socular --max-n 1 --window 1', 0, 'socular: all comparisons passed\n', ''),
+    # halg reads only --max-total; a valid window it never reads is accepted
+    ('oracle --check halg --max-total 4 --window 5', 0, 'halg: all comparisons passed\n', ''),
     # selecting the parabolic: both options, neither, a composition off --n, a root out of range
     (
         'dimu --family B --n 4 --parabolic 2,1,1 --excluded 2,3',
@@ -370,6 +372,8 @@ CONTRACT = [
     ('oracle --check halg --window -1', 2, '', 'domain error: --window must be at least 0, got -1\n'),
     ('oracle --check collapse --window -1', 2, '', 'domain error: --window must be at least 0, got -1\n'),
     ('oracle --check socular --window -2', 2, '', 'domain error: --window must be at least 0, got -2\n'),
+    # every check validates the whole budget, also the options it does not read
+    ('oracle --check collapse --max-n 0', 2, '', 'domain error: bad budget max_n=0: must be at least 1\n'),
     # usage errors
     ('', 1, '', 'usage error: the following arguments are required: command\n'),
     (

@@ -1,7 +1,7 @@
 import pytest
 
 from socular import DomainError, f_stat, f_stat_sequence, hollow, parity_profile, partitions_of, render_diagram, render_hollow
-from socular.hollow import _hollow_key, f_stat_column_form, row_parity_counts
+from socular.hollow import _hollow_key, f_stat_column_form
 
 from helpers import all_partitions
 
@@ -40,13 +40,12 @@ def test_closed_forms_match_cell_enumeration():
             expected = [0] * len(p)
             for k, _ in _cells_by_enumeration(p, parity):
                 expected[k - 1] += 1
-            assert row_parity_counts(p, parity) == tuple(expected)
+            assert parity_profile(p)[0 if parity == "even" else 1] == tuple(expected)
 
 
 def test_row_counts_sum_to_row_lengths():
     for p in all_partitions(16):
-        ev = row_parity_counts(p, "even")
-        od = row_parity_counts(p, "odd")
+        ev, od, _, _ = parity_profile(p)
         assert tuple(a + b for a, b in zip(ev, od)) == p
 
 

@@ -100,12 +100,14 @@ def test_richardson_agrees_with_h_algorithm_on_z_shape():
     # Z-diagram shapes, for B included (there H supplies the extra box itself)
     from socular import h_algorithm
 
+    setups = 0
     for family in ("B", "C", "D"):
-        for n in range(2 if family == "D" else 1, 7):
+        for n in range(2 if family == "D" else 1, 9):
             for setup in parabolic_setups(family, n):
-                tail, blocks = z_type(setup)
-                zshape = z_diagram(tail, blocks).shape
-                assert h_algorithm(zshape, family) == richardson_partition(setup).partition
+                zshape = z_diagram(*z_type(setup)).shape
+                assert h_algorithm(zshape, family) == richardson_partition(setup).partition, setup
+                setups += 1
+    assert setups == 1528
 
 
 def test_richardson_dim_is_twice_dim_u_smoke():

@@ -7,8 +7,9 @@ from socular import (
     is_domino_type,
     is_special,
     restricted_transform_oracle,
-    two_core,
 )
+from socular.hollow import FAMILY_PARITY, _hollow_key
+from socular.oracles import _orbit_partitions_by_hollow
 
 from helpers import all_partitions, tiling_domino_oracle
 
@@ -29,15 +30,8 @@ def test_domino_type_211():
 
 
 def test_domino_type_matches_tiling_search():
-    for p in all_partitions(12):
+    for p in all_partitions(16):
         assert is_domino_type(p) == tiling_domino_oracle(p)
-
-
-def test_two_core():
-    assert two_core((2, 1)) == (2, 1)
-    assert two_core((3, 1)) == ()
-    assert two_core((3, 2, 1)) == (3, 2, 1)
-    assert two_core(()) == ()
 
 
 def test_h_algorithm_worked_example_b():
@@ -78,3 +72,18 @@ def test_h_algorithm_matches_oracle_smoke():
             continue
         for family in ("B", "C", "D"):
             assert h_algorithm(p, family) == restricted_transform_oracle(p, family)
+
+
+def test_h_algorithm_output_is_the_only_special_partition_with_its_hollow_shape():
+    # past the oracle sweeps' totals: no other special orbit partition of the
+    # target total keeps the retained boxes of p
+    cases = 0
+    for p in all_partitions(20):
+        if sum(p) % 2 or not is_domino_type(p):
+            continue
+        for family in ("B", "C", "D"):
+            target = sum(p) + 1 if family == "B" else sum(p)
+            cands = _orbit_partitions_by_hollow(target, family)[_hollow_key(p, FAMILY_PARITY[family])]
+            assert [q for q in cands if is_special(q, family)] == [h_algorithm(p, family)], (p, family)
+            cases += 1
+    assert cases == 3645
