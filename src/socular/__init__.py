@@ -6,21 +6,17 @@ partition, with all intermediate objects (tableaux, hollow diagrams,
 Z-diagrams, collapses) exposed.
 """
 
+import sys
 from importlib import import_module
-
-# ``hollow`` names both a submodule and one of its functions.  Importing the
-# submodule sets ``socular.hollow`` to the module, but only on its first
-# import, so binding the function here, before anything else can import the
-# submodule, keeps ``socular.hollow`` the function in every import order.
-from .hollow import hollow
+from types import ModuleType
 
 # Each module with the public names it exports.  A name resolves on first use
 # (PEP 562): its module is imported and all of that module's names are bound
 # here, after which they are plain module globals.
 _EXPORTS = {
     "errors": ("DomainError", "IntegrityError"),
-    "gkdim": ("FAMILIES", "gk_breakdown", "gk_dimension"),
-    "hollow": ("f_stat", "f_stat_sequence", "hollow", "parity_profile", "render_diagram", "render_hollow"),
+    "gkdim": ("f_stat_sequence", "gk_breakdown", "gk_dimension"),
+    "hollow": ("f_stat", "hollow", "parity_profile", "render_diagram", "render_hollow"),
     "oracles": (
         "EnumerationBudget",
         "collapse_oracle",
@@ -28,15 +24,7 @@ _EXPORTS = {
         "restricted_transform_oracle",
         "socular_enumeration",
     ),
-    "parabolic": (
-        "ParabolicSetup",
-        "SocularCertificate",
-        "dim_nilradical",
-        "is_p_dominant",
-        "is_socular",
-        "parabolic_from_composition",
-        "parabolic_from_roots",
-    ),
+    "parabolic": ("SocularCertificate", "is_p_dominant", "is_socular"),
     "partitions": (
         "collapse",
         "dominates",
@@ -48,6 +36,13 @@ _EXPORTS = {
         "transpose",
     ),
     "richardson": ("RichardsonResult", "orbit_dimension", "richardson_partition"),
+    "setups": (
+        "FAMILIES",
+        "ParabolicSetup",
+        "dim_nilradical",
+        "parabolic_from_composition",
+        "parabolic_from_roots",
+    ),
     "tableaux": ("render_tableau", "rs_insert", "rs_shape", "rs_tableau", "shape"),
     "transforms": ("h_algorithm", "is_domino_type"),
     "weights": (
@@ -81,3 +76,21 @@ def __getattr__(name: str):
 
 def __dir__():
     return sorted({*globals(), *_EXPORTS, *__all__})
+
+
+class _Package(ModuleType):
+    """The package, whose exported names win over its submodules of the same name.
+
+    Importing a submodule binds it on the package, and ``hollow`` names both a
+    submodule and one of its functions: that binding is dropped, so the
+    attribute resolves through ``__getattr__`` to the function in every
+    import order.
+    """
+
+    def __setattr__(self, name, value):
+        if name in _MODULE_OF and value is sys.modules.get(f"{__name__}.{name}"):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -1,7 +1,7 @@
 """Command-line front-end.
 
-Each subcommand is declared once, in :func:`build_parser`, with its options
-and its handler.  A handler returns its result, a dict under ``--json`` and
+Each subcommand is declared once, in :data:`COMMANDS`, with its options and
+its handler.  A handler returns its result, a dict under ``--json`` and
 text otherwise, and :func:`run` is the one place that prints it.
 
 Exit codes: 0 success, 1 usage error, 2 domain error (bad weight, invalid
@@ -11,10 +11,10 @@ composition, weight not p-dominant, ...), 3 internal integrity error.
 import argparse
 import re
 import sys
+from functools import partial
 
 import socular
 
-from .hollow import FAMILY_PARITY, _cells as _hollow_cells
 from .partitions import format_partition
 
 USAGE_ERROR, DOMAIN_ERROR, INTEGRITY_ERROR = 1, 2, 3
@@ -86,6 +86,8 @@ def _cmd_gkdim(args) -> dict | str:
 
 
 def _cmd_socular(args) -> dict | str:
+    from .hollow import FAMILY_PARITY, _cells as _hollow_cells
+
     setup = _setup_from_args(args)
     cert = socular.is_socular(args.weight, setup)
     if not args.json:
@@ -145,8 +147,8 @@ def _cmd_zdiagram(args) -> dict | str:
     return f"{format_partition(shape)}\n{picture}"
 
 
-def _cmd_partition_op(args) -> dict | str:
-    result = getattr(socular, args.op)(args.partition, args.family)
+def _cmd_partition_op(args, op: str) -> dict | str:
+    result = getattr(socular, op)(args.partition, args.family)
     if args.json:
         return {"shape": list(result), "transpose": list(socular.transpose(result))}
     return format_partition(result)
@@ -169,67 +171,95 @@ def _cmd_oracle(args) -> str:
     return f"{args.check}: all comparisons passed"
 
 
-def _options(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """A parent parser: the options added to it go to every subcommand that lists it."""
-    return argparse.ArgumentParser(add_help=False, parents=parents)
+def _family(p) -> None:
+    p.add_argument("--family", choices=["A", "B", "C", "D"], required=True)
 
 
-def build_parser() -> _Parser:
-    """Every subcommand with its handler and its options, shared ones from parent parsers.
+def _rank(p) -> None:
+    p.add_argument("--n", type=int, required=True)
 
-    A subparser lists its parents' options before its own, so an option that
-    comes before ``--json`` in a subcommand's --help sits in a parent too.
-    """
-    family = _options()
-    family.add_argument("--family", choices=["A", "B", "C", "D"], required=True)
-    rank = _options()
-    rank.add_argument("--n", type=int, required=True)
-    setup = _options(rank)
-    setup.add_argument("--parabolic", type=_csv_ints)
-    setup.add_argument("--excluded", type=_csv_ints)
-    weight = _options()
-    weight.add_argument("--weight", type=_weight, required=True)
-    partition = _options()
-    partition.add_argument("--partition", type=_csv_ints, required=True)
-    output = _options()
-    output.add_argument("--json", action="store_true")
 
-    parser = _Parser(prog="socular")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _setup(p) -> None:
+    _rank(p)
+    p.add_argument("--parabolic", type=_csv_ints)
+    p.add_argument("--excluded", type=_csv_ints)
 
-    def command(name, handler, *parents, **kwargs) -> _Parser:
-        p = sub.add_parser(name, parents=parents, **kwargs)
-        p.set_defaults(handler=handler)
-        return p
 
-    tableau = _options(weight)
-    tableau.add_argument("--double", choices=["back", "front"])
-    command("tableau", _cmd_tableau, tableau, output, help="Robinson-Schensted tableau of a weight")
-    command("gkdim", _cmd_gkdim, family, rank, weight, output, help="Gelfand-Kirillov dimension of L(lambda)")
-    command("socular", _cmd_socular, family, setup, output, weight)
-    command("dimu", _cmd_dimu, family, setup, output)
-    command("parabolic", _cmd_parabolic, family, setup, output)
-    command("richardson", _cmd_richardson, family, setup, output)
-    zdiagram = _options()
-    zdiagram.add_argument("--a0", type=int, required=True)
-    zdiagram.add_argument("--b", type=_csv_ints, default=[])
-    zdiagram.add_argument("--hollow", choices=["odd", "even"])
-    command("zdiagram", _cmd_zdiagram, zdiagram, output, help="Z-diagram of type (a0; b1,b2,...)")
-    for name, op in (("halg", "h_algorithm"), ("collapse", "collapse"), ("expand", "expand")):
-        command(name, _cmd_partition_op, partition, family, output).set_defaults(op=op)
+def _weight_option(p) -> None:
+    p.add_argument("--weight", type=_weight, required=True)
 
-    p = command("oracle", _cmd_oracle, help="run brute-force cross-checks")
+
+def _partition(p) -> None:
+    p.add_argument("--partition", type=_csv_ints, required=True)
+
+
+def _output(p) -> None:
+    p.add_argument("--json", action="store_true")
+
+
+def _tableau(p) -> None:
+    _weight_option(p)
+    p.add_argument("--double", choices=["back", "front"])
+
+
+def _zdiagram(p) -> None:
+    p.add_argument("--a0", type=int, required=True)
+    p.add_argument("--b", type=_csv_ints, default=[])
+    p.add_argument("--hollow", choices=["odd", "even"])
+
+
+def _oracle(p) -> None:
     p.set_defaults(json=False)  # no output options: it prints text
     p.add_argument("--check", choices=["collapse", "halg", "socular"], required=True)
     p.add_argument("--max-total", type=int, default=10)
     p.add_argument("--max-n", type=int, default=2)
     p.add_argument("--window", type=int, default=3)
+
+
+# Each subcommand: its handler, the functions that add its options in --help
+# order, and its one-line help for the program's --help.
+COMMANDS = {
+    "tableau": (_cmd_tableau, (_tableau, _output), "Robinson-Schensted tableau of a weight"),
+    "gkdim": (_cmd_gkdim, (_family, _rank, _weight_option, _output), "Gelfand-Kirillov dimension of L(lambda)"),
+    "socular": (_cmd_socular, (_family, _setup, _output, _weight_option), None),
+    "dimu": (_cmd_dimu, (_family, _setup, _output), None),
+    "parabolic": (_cmd_parabolic, (_family, _setup, _output), None),
+    "richardson": (_cmd_richardson, (_family, _setup, _output), None),
+    "zdiagram": (_cmd_zdiagram, (_zdiagram, _output), "Z-diagram of type (a0; b1,b2,...)"),
+    "halg": (partial(_cmd_partition_op, op="h_algorithm"), (_partition, _family, _output), None),
+    "collapse": (partial(_cmd_partition_op, op="collapse"), (_partition, _family, _output), None),
+    "expand": (partial(_cmd_partition_op, op="expand"), (_partition, _family, _output), None),
+    "oracle": (_cmd_oracle, (_oracle,), "run brute-force cross-checks"),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every subcommand, or of ``command`` alone, each with its handler.
+
+    A call names one subcommand, so :func:`run` builds only that one: argparse
+    parses the same after it, and creating the others costs more than the
+    call itself needs.
+    """
+    parser = _Parser(prog="socular")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, options, help_line) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, **({} if help_line is None else {"help": help_line}))
+            for add in options:
+                add(p)
+            p.set_defaults(handler=handler)
     return parser
 
 
+def _parser_for(argv: list[str]) -> _Parser:
+    """The parser of a call: the named subcommand's alone when ``argv`` starts with one, else all."""
+    return build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+
+
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser_for(argv).parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR

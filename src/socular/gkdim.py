@@ -10,26 +10,13 @@ over one denominator d, and ``rs_shape`` gets d only when d > 1, where it
 only keys the cache.
 """
 
-from .errors import DomainError
-from .hollow import _f_stat
+from .hollow import _f_stat, f_stat
+from .setups import FAMILIES, check_family  # FAMILIES: re-exported for importers of this module
 from .tableaux import rs_shape
 from .weights import class_buckets, double, integer_entries, tilde_numerators
 
-FAMILIES = ("A", "B", "C", "D")
-
 # which F statistic the integral and half-integral classes contribute
 _CLASS_KINDS = {"B": ("b", "b"), "C": ("b", "d"), "D": ("d", "d")}
-
-
-def check_family(family: str, n: int) -> None:
-    if family not in FAMILIES:
-        raise DomainError(f"family must be one of {FAMILIES}, got {family!r}")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DomainError(f"rank must be an int, got {n!r}")
-    if n < 1:
-        raise DomainError("rank must be positive")
-    if family in ("A", "D") and n < 2:
-        raise DomainError(f"family {family} needs n >= 2, got n={n}")
 
 
 def _ambient(family: str, n: int) -> int:
@@ -94,6 +81,11 @@ def _gk(nums: list[int], dens: list[int], family: str, records: list | None = No
                 }
             )
     return ambient - penalty, ambient
+
+
+def f_stat_sequence(seq, kind: str) -> int:
+    """:func:`~socular.hollow.f_stat` of the Robinson-Schensted shape of a sequence of entries."""
+    return f_stat(rs_shape(tuple(seq)), kind)
 
 
 def gk_breakdown(weight, family: str) -> dict:

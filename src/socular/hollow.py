@@ -11,7 +11,6 @@ from operator import add, floordiv
 
 from .errors import DomainError
 from .partitions import Partition, _transpose, as_partition
-from .tableaux import rs_shape
 
 PARITIES = ("odd", "even")
 
@@ -90,11 +89,6 @@ def _f_stat(sh: Partition, kind: str) -> int:
     if kind == "a":
         return sum(c * (c - 1) // 2 for c in _transpose(sh))
     return sum(i * c for i, c in enumerate(_row_counts(sh, "odd" if kind == "b" else "even")))
-
-
-def f_stat_sequence(seq, kind: str) -> int:
-    """:func:`f_stat` of the Robinson-Schensted shape of a sequence of entries."""
-    return f_stat(rs_shape(tuple(seq)), kind)
 
 
 def f_stat_column_form(p, kind: str) -> int:

@@ -22,16 +22,9 @@ from itertools import chain, combinations, product
 from typing import NamedTuple
 
 from .errors import DomainError, IntegrityError
-from .gkdim import check_family, gk_dimension
+from .gkdim import gk_dimension
 from .hollow import FAMILY_PARITY, _hollow_key, f_stat
-from .parabolic import (
-    ParabolicSetup,
-    _integral_candidate,
-    _integral_target,
-    _tail_dominant,
-    dim_nilradical,
-    parabolic_from_roots,
-)
+from .parabolic import _integral_candidate, _integral_target, _tail_dominant
 from .partitions import (
     ORBIT_FAMILIES,
     Partition,
@@ -41,11 +34,13 @@ from .partitions import (
     _is_orbit,
     _is_special,
     as_partition,
+    collapse,
     is_orbit_partition,
     partitions_of,
 )
+from .setups import ParabolicSetup, check_family, dim_nilradical, parabolic_from_roots
 from .tableaux import rs_tableau, shape
-from .transforms import h_algorithm, is_domino_type
+from .transforms import _is_domino_type, h_algorithm
 
 # three families times the totals one sweep reaches, with room to spare
 ORBIT_TABLE_SIZE = 64
@@ -113,7 +108,7 @@ def restricted_transform_oracle(p, family: str) -> Partition:
     """
     p = as_partition(p)
     _check_orbit_family(family)
-    if not is_domino_type(p):
+    if not _is_domino_type(p):
         raise DomainError(f"{p} is not of domino type")
     parity = FAMILY_PARITY[family]
     target = sum(p) + 1 if family == "B" else sum(p)
@@ -261,8 +256,6 @@ def _all_setups(family: str, max_n: int):
 def check_collapse(budget: EnumerationBudget) -> list[str]:
     """Compare collapse against the oracle on all parity-compatible partitions."""
     _check_budget(budget)
-    from .partitions import collapse
-
     failures = []
     for total in range(budget.max_total + 1):
         for p in partitions_of(total):
@@ -281,7 +274,7 @@ def check_halg(budget: EnumerationBudget) -> list[str]:
     failures = []
     for total in range(0, budget.max_total + 1, 2):
         for p in partitions_of(total):
-            if not is_domino_type(p):
+            if not _is_domino_type(p):
                 continue
             for family in ORBIT_FAMILIES:
                 fast, slow = h_algorithm(p, family), restricted_transform_oracle(p, family)

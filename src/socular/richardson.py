@@ -9,9 +9,8 @@ that shape with one box added at row 2*n_k + 1.
 from typing import NamedTuple
 
 from .errors import DomainError, IntegrityError
-from .gkdim import FAMILIES
-from .parabolic import ParabolicSetup, z_type
 from .partitions import Partition, as_partition, collapse, transpose
+from .setups import FAMILIES, ParabolicSetup, z_type
 from .zdiagram import z_diagram
 
 

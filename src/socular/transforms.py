@@ -26,7 +26,11 @@ from .partitions import Partition, _check_orbit_family, as_partition
 
 def is_domino_type(p) -> bool:
     """Whether the diagram of ``p`` is tileable by dominoes: as many even boxes as odd."""
-    p = as_partition(p)
+    return _is_domino_type(as_partition(p))
+
+
+def _is_domino_type(p: Partition) -> bool:
+    """:func:`is_domino_type` of a canonical partition, unchecked."""
     return 2 * sum(_row_counts(p, "even")) == sum(p)
 
 
@@ -44,7 +48,7 @@ def h_algorithm(p, family: str) -> Partition:
     """Special partition with the same odd (B, C) or even (D) boxes as ``p``."""
     p = as_partition(p)
     _check_orbit_family(family)
-    if not is_domino_type(p):
+    if not _is_domino_type(p):
         raise DomainError(f"{p} is not of domino type")
     parity = FAMILY_PARITY[family]
     last = [2 * c - 2 + _first_column(k, parity) for k, c in enumerate(_row_counts(p, parity), 1)]

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import socular
-from socular import hollow, oracles, z_diagram
+from socular import cli, hollow, oracles, z_diagram
 from socular.cli import build_parser, run
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -622,11 +623,50 @@ PARTITION_ONLY = [
     ["halg", "--partition", "6,4,4,4,2,2,1,1", "--family", "B"],
 ]
 
+# subcommands that build a parabolic but read no weight
+SETUP_ONLY = [
+    ["richardson", "--family", "B", "--n", "4", "--parabolic", "2,1,1"],
+    ["dimu", "--family", "D", "--n", "5", "--excluded", "1,4"],
+    ["parabolic", "--family", "C", "--n", "4", "--parabolic", "1,3,0"],
+]
+
+
+def _after_run(argv) -> str:
+    return f"from socular.cli import run; assert run({argv!r}) == 0"
+
 
 def test_cli_import_leaves_out_what_its_subcommands_may_not_need():
-    assert _fresh_modules("import socular.cli", ["dataclasses", "inspect", "socular.oracles", "json"]) == []
+    unneeded = ["dataclasses", "inspect", "json", "socular.oracles", "socular.hollow", "socular.tableaux"]
+    assert _fresh_modules("import socular.cli", unneeded) == []
     lazy = ["socular.weights", "socular.gkdim", "socular.parabolic", "socular.oracles", "fractions", "decimal"]
-    unused = ["dataclasses", *lazy, "socular.zdiagram", "socular.richardson", "socular.transforms", "socular.cli"]
-    assert _fresh_modules("import socular", unused) == []
+    submodules = [f"socular.{info.name}" for info in pkgutil.iter_modules(socular.__path__)]
+    assert _fresh_modules("import socular", ["dataclasses", *lazy, *submodules]) == []
+    for argv in SETUP_ONLY:
+        assert _fresh_modules(_after_run(argv), [*lazy, "socular.tableaux", "socular.hollow"]) == [], argv
     for argv in PARTITION_ONLY:
-        assert _fresh_modules(f"from socular.cli import run; assert run({argv!r}) == 0", lazy) == [], argv
+        unused = [*lazy, "socular.tableaux"]
+        if argv[0] in ("collapse", "expand"):
+            unused.append("socular.hollow")
+        assert _fresh_modules(_after_run(argv), unused) == [], argv
+
+
+def _subcommands(parser) -> list[str]:
+    (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["--json", "gkdim"]], ids=str)
+def test_a_call_without_a_leading_subcommand_takes_the_full_parser(argv):
+    assert _subcommands(cli._parser_for(argv)) == list(cli.COMMANDS)
+
+
+ONE_SUBCOMMAND = [argv for argv, *_ in CONTRACT if argv.split()[:1] and argv.split()[0] in cli.COMMANDS]
+
+
+@pytest.mark.parametrize("argv", ONE_SUBCOMMAND)
+def test_one_subparser_parses_like_the_full_parser(capsys, monkeypatch, argv):
+    argv = argv.split()
+    assert _subcommands(cli._parser_for(argv)) == [argv[0]]
+    alone = (run(argv), *capsys.readouterr())
+    monkeypatch.setattr(cli, "_parser_for", lambda argv: build_parser())
+    assert (run(argv), *capsys.readouterr()) == alone

@@ -76,6 +76,8 @@ def _bench_import() -> str:
 IMPORT_ORDERS = {
     "submodule-first": "import socular.hollow",
     "parabolic-first": "import socular.parabolic",
+    "richardson-first": "import socular.richardson",
+    "setups-first": "import socular.setups",
     "bench-imports": _bench_import(),
 }
 
@@ -84,6 +86,52 @@ IMPORT_ORDERS = {
 def test_hollow_is_the_function_in_every_import_order(statement):
     code = f"{statement}; import socular, sys; print(socular.hollow is sys.modules['socular.hollow'].hollow)"
     assert _fresh(code) == "True"
+
+
+def test_bare_import_loads_no_submodule():
+    code = "import socular, sys; print(sorted(m for m in sys.modules if m.startswith('socular.')))"
+    assert _fresh(code) == "[]"
+
+
+def test_names_kept_where_importers_reach_them():
+    # the benchmark imports check_family from gkdim and names spans after
+    # __module__; tests reach z_type through parabolic
+    from socular import gkdim, parabolic, setups
+
+    assert gkdim.check_family is setups.check_family and gkdim.FAMILIES is socular.FAMILIES
+    for name in ("ParabolicSetup", "dim_nilradical", "parabolic_from_composition", "parabolic_from_roots", "z_type"):
+        assert getattr(parabolic, name) is getattr(setups, name), name
+    modules = {
+        "collapse": "partitions",
+        "expand": "partitions",
+        "h_algorithm": "transforms",
+        "collapse_oracle": "oracles",
+        "restricted_transform_oracle": "oracles",
+    }
+    for name, module in modules.items():
+        assert getattr(socular, name).__module__ == f"socular.{module}", name
+
+
+def _function_imports(path: Path) -> list[str]:
+    """``file:line`` of every import statement inside a function body of a module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    found.append(f"{path.name}:{inner.lineno}")
+    return found
+
+
+def test_library_modules_import_at_module_level_only():
+    # An import statement in a function runs on every call: a prototype that
+    # imported inside is_socular's path lost socular-query 7.5% of ops_per_s
+    # (11,383-11,543 -> 10,531-10,676 over 2 benchmark pairs) and added 10% to
+    # its p50_ms.  Only the CLI, which runs one call per process, imports late.
+    paths = sorted((ROOT / "src" / "socular").glob("*.py"))
+    assert len(paths) > 10
+    found = [line for path in paths if path.name != "cli.py" for line in _function_imports(path)]
+    assert found == []
 
 
 def test_unknown_attribute_raises_the_usual_error():

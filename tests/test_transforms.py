@@ -1,5 +1,6 @@
 import pytest
 
+from socular import oracles, transforms
 from socular import (
     DomainError,
     h_algorithm,
@@ -10,6 +11,7 @@ from socular import (
 )
 from socular.hollow import FAMILY_PARITY, _hollow_key
 from socular.oracles import _orbit_partitions_by_hollow
+from socular.partitions import as_partition
 
 from helpers import all_partitions, tiling_domino_oracle
 
@@ -51,6 +53,30 @@ def test_h_algorithm_rejects_non_domino():
         h_algorithm((3, 2, 1), "B")
     with pytest.raises(DomainError):
         h_algorithm((2, 2), "E")
+
+
+def test_h_algorithm_and_its_oracle_validate_their_argument_once(monkeypatch):
+    calls = []
+
+    def counting_as_partition(parts):
+        calls.append(parts)
+        return as_partition(parts)
+
+    monkeypatch.setattr(transforms, "as_partition", counting_as_partition)
+    monkeypatch.setattr(oracles, "as_partition", counting_as_partition)
+    for p, family in (((6, 4, 4, 4, 2, 2, 1, 1), "B"), ([5, 3], "C"), ((2, 2), "D")):
+        for fn in (h_algorithm, restricted_transform_oracle):
+            calls.clear()
+            fn(p, family)
+            assert len(calls) == 1, (fn.__name__, p, family)
+
+
+def test_domino_type_still_validates_its_argument():
+    for bad, message in (((1, 2), "weakly decreasing"), ((2, 0), "positive integers"), (("2",), "positive integers")):
+        with pytest.raises(DomainError, match=message):
+            is_domino_type(bad)
+        with pytest.raises(DomainError, match=message):
+            h_algorithm(bad, "C")
 
 
 def test_h_algorithm_postconditions():
