@@ -10,6 +10,7 @@ over one denominator d, and ``rs_shape`` gets d only when d > 1, where it
 only keys the cache.
 """
 
+from .errors import as_tuple
 from .hollow import _f_stat, f_stat
 from .setups import FAMILIES, check_family  # FAMILIES: re-exported for importers of this module
 from .tableaux import rs_shape
@@ -85,7 +86,7 @@ def _gk(nums: list[int], dens: list[int], family: str, records: list | None = No
 
 def f_stat_sequence(seq, kind: str) -> int:
     """:func:`~socular.hollow.f_stat` of the Robinson-Schensted shape of a sequence of entries."""
-    return f_stat(rs_shape(tuple(seq)), kind)
+    return f_stat(rs_shape(as_tuple(seq, "a word must be a sequence of entries")), kind)
 
 
 def gk_breakdown(weight, family: str) -> dict:

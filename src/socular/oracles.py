@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import chain, combinations, product
 from typing import NamedTuple
 
-from .errors import DomainError, IntegrityError
+from .errors import DomainError, IntegrityError, is_int
 from .gkdim import gk_dimension
 from .hollow import FAMILY_PARITY, _hollow_key, f_stat
 from .parabolic import _integral_candidate, _integral_target, _tail_dominant
@@ -33,9 +33,9 @@ from .partitions import (
     _dominates,
     _is_orbit,
     _is_special,
+    _orbit_input,
     as_partition,
     collapse,
-    is_orbit_partition,
     partitions_of,
 )
 from .setups import ParabolicSetup, check_family, dim_nilradical, parabolic_from_roots
@@ -52,18 +52,13 @@ class EnumerationBudget(NamedTuple):
     max_n: int = 3
 
 
-def _unique_max(cands: list[Partition], context: str) -> Partition:
+def _unique_extreme(cands: list[Partition], top: bool, context: str) -> Partition:
+    """The candidate that dominates every other (``top``) or that every other dominates."""
     for q in cands:
-        if all(_dominates(q, other) for other in cands):
+        if all(_dominates(q, other) if top else _dominates(other, q) for other in cands):
             return q
-    raise IntegrityError(f"no unique dominance maximum among {len(cands)} candidates: {context}")
-
-
-def _unique_min(cands: list[Partition], context: str) -> Partition:
-    for q in cands:
-        if all(_dominates(other, q) for other in cands):
-            return q
-    raise IntegrityError(f"no unique dominance minimum among {len(cands)} candidates: {context}")
+    extreme = "maximum" if top else "minimum"
+    raise IntegrityError(f"no unique dominance {extreme} among {len(cands)} candidates: {context}")
 
 
 @lru_cache(maxsize=ORBIT_TABLE_SIZE)
@@ -85,16 +80,14 @@ def collapse_oracle(p, family: str) -> Partition:
     """Dominance-maximum type-``family`` partition below ``p``, by full enumeration."""
     p = _collapse_input(p, family)
     cands = [q for q in _orbit_partitions(sum(p), family) if _dominates(p, q)]
-    return _unique_max(cands, f"collapse of {p} in type {family}")
+    return _unique_extreme(cands, True, f"collapse of {p} in type {family}")
 
 
 def expand_oracle(p, family: str) -> Partition:
     """Dominance-minimum special type-``family`` partition above ``p``, by full enumeration."""
-    p = as_partition(p)
-    if not is_orbit_partition(p, family):
-        raise DomainError(f"{p} is not an orbit partition of type {family}")
+    p = _orbit_input(p, family)
     cands = [q for q in _orbit_partitions(sum(p), family) if _is_special(q, family) and _dominates(q, p)]
-    return _unique_min(cands, f"expansion of {p} in type {family}")
+    return _unique_extreme(cands, False, f"expansion of {p} in type {family}")
 
 
 def restricted_transform_oracle(p, family: str) -> Partition:
@@ -121,7 +114,7 @@ def restricted_transform_oracle(p, family: str) -> Partition:
         reference = p
     below = [q for q in cands if _dominates(reference, q)]
     context = f"restricted transform of {p} in type {family}"
-    lower = _unique_max(below, context) if below else None
+    lower = _unique_extreme(below, True, context) if below else None
     specials = [
         q
         for q in cands
@@ -129,7 +122,7 @@ def restricted_transform_oracle(p, family: str) -> Partition:
     ]
     if not specials:
         raise IntegrityError(f"no special candidate above the restricted collapse: {context}")
-    return _unique_min(specials, context)
+    return _unique_extreme(specials, False, context)
 
 
 def _frac(v) -> Fraction:
@@ -184,13 +177,13 @@ def _check_budget(budget: EnumerationBudget) -> None:
     """Refuse a budget of the wrong types, or one under which a check would compare nothing and still pass."""
     for field in ("max_total", "max_n"):
         value = getattr(budget, field)
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not is_int(value):
             raise DomainError(f"bad budget {field}={value!r}: must be an int")
     window = budget.entry_window
     if (
         not isinstance(window, tuple)
         or len(window) != 2
-        or any(isinstance(v, bool) or not isinstance(v, int) for v in window)
+        or not all(map(is_int, window))
         or window[0] > window[1]
     ):
         raise DomainError(f"bad budget entry_window={window!r}: must be a pair of ints lo <= hi")
@@ -299,28 +292,24 @@ def check_socular(budget: EnumerationBudget, families=("A", "B", "C", "D")) -> l
     for family in families:
         rank = None
         for setup in _all_setups(family, budget.max_n):
-            if setup.n != rank:  # both memos hold one rank's weights at a time
-                rank, gk_of, candidate_of = setup.n, {}, {}
+            if setup.n != rank:  # the memo holds one rank's weights at a time
+                rank, facts = setup.n, {}
             dominant = _dominant_weights(setup, budget)
             if not dominant:
                 continue
             compared += 1
-            gks = []
             for w in dominant:
-                g = gk_of.get(w)
-                if g is None:
-                    g = gk_of[w] = gk_dimension(w, family)
-                gks.append(g)
-            best = max(gks)
+                if w not in facts:
+                    # the candidate's rs_shape call hits the entry of the GK call just made
+                    facts[w] = (gk_dimension(w, family), _integral_candidate(w, family))
+            best = max(facts[w][0] for w in dominant)
             du = dim_nilradical(setup)
             if best != du:
                 failures.append(f"{setup}: max GK {best} != dim u {du}")
                 continue
             target = _integral_target(setup)
-            for w, g in zip(dominant, gks):
-                candidate = candidate_of.get(w)
-                if candidate is None:
-                    candidate = candidate_of[w] = _integral_candidate(w, family)
+            for w in dominant:
+                g, candidate = facts[w]
                 verdict = candidate == target
                 if verdict != (g == best):
                     failures.append(

@@ -5,16 +5,16 @@ are never stored.  Partitions double as Young-diagram shapes and as labels of
 nilpotent orbits in the classical Lie algebras.
 
 The public functions validate their input once and then run an unchecked
-kernel (``_transpose``, ``_dominates``, ``_is_orbit``, ``_is_special``).  The
-kernels take canonical tuples only, such as those from :func:`partitions_of`.
+kernel (``_transpose``, ``_dominates``, ``_is_orbit``, ``_is_special``,
+``_collapse``).  The kernels take canonical tuples only, such as those from
+:func:`partitions_of`.
 """
 
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from itertools import accumulate
 from operator import ge
 
-from .errors import DomainError
+from .errors import DomainError, as_tuple, is_int
 
 ORBIT_FAMILIES = ("B", "C", "D")
 
@@ -23,9 +23,9 @@ Partition = tuple[int, ...]
 
 def as_partition(parts: Iterable[int]) -> Partition:
     """Validate an iterable of parts and return it as a canonical tuple."""
-    p = tuple(parts)
+    p = as_tuple(parts, "a partition must be a sequence of parts")
     for v in p:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        if not is_int(v) or v < 1:
             raise DomainError(f"partition parts must be positive integers, got {v!r}")
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
         raise DomainError(f"partition parts must be weakly decreasing: {p}")
@@ -34,6 +34,8 @@ def as_partition(parts: Iterable[int]) -> Partition:
 
 def parse_partition(text: str) -> Partition:
     """Parse the text format: comma-separated positive integers, e.g. ``7,5,5,3,3``."""
+    if not isinstance(text, str):
+        raise DomainError(f"a partition must be text, got {text!r}")
     text = text.strip()
     if not text:
         return ()
@@ -116,24 +118,21 @@ def _is_special(p: Partition, family: str) -> bool:
     return _is_orbit(_transpose(p), _dual_family(family))
 
 
+def _orbit_input(p: Iterable[int], family: str) -> Partition:
+    """Validate an orbit partition of an orbit family."""
+    p = as_partition(p)
+    _check_orbit_family(family)
+    if not _is_orbit(p, family):
+        raise DomainError(f"{p} is not an orbit partition of type {family}")
+    return p
+
+
 def is_special(p: Iterable[int], family: str) -> bool:
     """Specialness test: the transpose must itself be an orbit partition.
 
     For B the transpose must be of type B; for C and D it must be of type C.
     """
-    p = as_partition(p)
-    _check_orbit_family(family)
-    if not _is_orbit(p, family):
-        raise DomainError(f"{p} is not an orbit partition of type {family}")
-    return _is_special(p, family)
-
-
-def _collapse_target(parts: list[int], family: str) -> int | None:
-    """Largest part of the wrong parity occurring with odd multiplicity, if any."""
-    bad_parity = 1 if family == "C" else 0
-    counts = Counter(parts)
-    bad = [v for v, c in counts.items() if v % 2 == bad_parity and c % 2 == 1]
-    return max(bad) if bad else None
+    return _is_special(_orbit_input(p, family), family)
 
 
 def _collapse_input(p: Iterable[int], family: str) -> Partition:
@@ -146,6 +145,31 @@ def _collapse_input(p: Iterable[int], family: str) -> Partition:
     return p
 
 
+def _collapse(parts: list[int], family: str) -> Partition:
+    """:func:`collapse` of a checked partition, as a list it rewrites: one walk over the blocks
+    of equal parts.  A step on a bad block of q's raises only a later part, to at most q-1,
+    so every bad block left lies to the right and the walk takes the rule's steps in order."""
+    odd = family == "C"  # the parity of the parts that must pair up
+    k = 0
+    while k < len(parts):
+        q, end = parts[k], k + 1
+        while end < len(parts) and parts[end] == q:
+            end += 1
+        if q % 2 != odd or (end - k) % 2 == 0:
+            k = end
+            continue
+        parts[end - 1] = q - 1
+        # the next part strictly below q-1, or a new part 1 past the end
+        k = end
+        while k < len(parts) and parts[k] == q - 1:
+            k += 1
+        if k < len(parts):
+            parts[k] += 1
+        else:
+            parts.append(1)
+    return tuple(parts)
+
+
 def collapse(p: Iterable[int], family: str) -> Partition:
     """Largest type-``family`` partition dominated by ``p`` (the X-collapse).
 
@@ -154,19 +178,7 @@ def collapse(p: Iterable[int], family: str) -> Partition:
     strictly below q-1 (an absent part counts as 0, so a new part 1 may
     appear).
     """
-    parts = list(_collapse_input(p, family))
-    while True:
-        q = _collapse_target(parts, family)
-        if q is None:
-            return tuple(parts)
-        i = max(j for j, v in enumerate(parts) if v == q)
-        parts[i] = q - 1
-        for j in range(i + 1, len(parts)):
-            if parts[j] < q - 1:
-                parts[j] += 1
-                break
-        else:
-            parts.append(1)
+    return _collapse(list(_collapse_input(p, family)), family)
 
 
 def expand(p: Iterable[int], family: str) -> Partition:
@@ -176,14 +188,11 @@ def expand(p: Iterable[int], family: str) -> Partition:
     Semisimple Lie Algebras*, 6.3): transpose, collapse in the dual family (B
     for B, C for C and D), transpose back.
     """
-    p = as_partition(p)
-    _check_orbit_family(family)
-    if not _is_orbit(p, family):
-        raise DomainError(f"{p} is not an orbit partition of type {family}")
+    p = _orbit_input(p, family)
     q, dual = _transpose(p), _dual_family(family)
     if _is_orbit(q, dual):
         return p  # special: its own expansion
-    return _transpose(collapse(q, dual))
+    return _transpose(_collapse(list(q), dual))
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
@@ -191,7 +200,7 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
 
     The arguments are checked at the call, before the first partition is asked for.
     """
-    if type(n) is not int or not (max_part is None or type(max_part) is int):
+    if not is_int(n) or not (max_part is None or is_int(max_part)):
         raise DomainError(f"partitions_of takes integers, got n={n!r}, max_part={max_part!r}")
     if n < 0:
         raise DomainError("cannot partition a negative integer")

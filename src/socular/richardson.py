@@ -9,7 +9,7 @@ that shape with one box added at row 2*n_k + 1.
 from typing import NamedTuple
 
 from .errors import DomainError, IntegrityError
-from .partitions import Partition, as_partition, collapse, transpose
+from .partitions import Partition, _collapse, _transpose, as_partition
 from .setups import FAMILIES, ParabolicSetup, z_type
 from .zdiagram import z_diagram
 
@@ -24,7 +24,7 @@ def richardson_partition(setup: ParabolicSetup) -> RichardsonResult:
     family = setup.family
     comp = setup.normalized_composition
     if family == "A":
-        part = transpose(sorted(comp, reverse=True))
+        part = _transpose(tuple(sorted(comp, reverse=True)))
         return RichardsonResult(part, very_even=False, numeral=None)
     tail, blocks = z_type(setup)
     shape = z_diagram(tail, blocks).shape
@@ -37,9 +37,9 @@ def richardson_partition(setup: ParabolicSetup) -> RichardsonResult:
             parts.append(1)
         else:
             raise IntegrityError(f"Z-diagram {shape} shorter than 2*n_k = {idx}")
-        part = collapse(tuple(parts), "B")
+        part = _collapse(parts, "B")
     else:
-        part = collapse(shape, family)
+        part = _collapse(list(shape), family)
     very_even = family == "D" and all(v % 2 == 0 for v in part)
     return RichardsonResult(part, very_even=very_even, numeral="undetermined" if very_even else None)
 
@@ -55,7 +55,7 @@ def orbit_dimension(partition, family: str) -> int:
     if family not in FAMILIES:
         raise DomainError(f"family must be one of {FAMILIES}, got {family!r}")
     m = sum(p)
-    sq = sum(c * c for c in transpose(p))
+    sq = sum(c * c for c in _transpose(p))
     odd = sum(1 for v in p if v % 2 == 1)
     # sq and odd always share the parity of m, so the halves below are exact
     if family == "A":

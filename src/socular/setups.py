@@ -18,7 +18,7 @@ from itertools import accumulate
 from operator import sub
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, as_tuple, is_int
 
 FAMILIES = ("A", "B", "C", "D")
 
@@ -26,7 +26,7 @@ FAMILIES = ("A", "B", "C", "D")
 def check_family(family: str, n: int) -> None:
     if family not in FAMILIES:
         raise DomainError(f"family must be one of {FAMILIES}, got {family!r}")
-    if isinstance(n, bool) or not isinstance(n, int):
+    if not is_int(n):
         raise DomainError(f"rank must be an int, got {n!r}")
     if n < 1:
         raise DomainError("rank must be positive")
@@ -53,14 +53,12 @@ def _setup(family: str, n: int, excluded: frozenset[int], composition: tuple[int
 def parabolic_from_roots(family: str, n: int, excluded) -> ParabolicSetup:
     """Setup from the excluded simple-root indices (subset of {1..n})."""
     check_family(family, n)
-    try:
-        excluded = frozenset(excluded)
-    except TypeError:
-        raise DomainError(f"excluded roots must be a collection of root indices, got {excluded!r}") from None
+    indices = as_tuple(excluded, "excluded roots must be a collection of root indices")
     top = n - 1 if family == "A" else n
-    for i in excluded:
-        if isinstance(i, bool) or not isinstance(i, int) or i < 1 or i > top:
+    for i in indices:
+        if not is_int(i) or i < 1 or i > top:
             raise DomainError(f"excluded root index {i!r} outside 1..{top} for {family}{n}")
+    excluded = frozenset(indices)
     cuts = sorted(excluded)
     tail = ()
     if cuts and cuts[-1] == n:  # only B/C/D may exclude alpha_n: a zero tail block
@@ -72,14 +70,11 @@ def parabolic_from_roots(family: str, n: int, excluded) -> ParabolicSetup:
 
 def parabolic_from_composition(family: str, composition) -> ParabolicSetup:
     """Setup from a composition (n_1,...,n_k); only the last part may be 0."""
-    try:
-        composition = tuple(composition)
-    except TypeError:
-        raise DomainError(f"a composition must be a sequence of parts, got {composition!r}") from None
+    composition = as_tuple(composition, "a composition must be a sequence of parts")
     if not composition:
         raise DomainError("empty composition")
     for i, v in enumerate(composition):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+        if not is_int(v) or v < 0:
             raise DomainError(f"composition parts must be non-negative integers: {composition}")
         if v == 0 and (family == "A" or i != len(composition) - 1):
             raise DomainError(f"only the last part of a B/C/D composition may be 0: {composition}")

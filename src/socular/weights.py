@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, as_tuple, is_int
 
 Weight = tuple[Fraction, ...]
 
@@ -36,6 +36,8 @@ def parse_rational(text: str) -> Fraction:
 
 def parse_weight(text: str) -> Weight:
     """Parse a comma-separated weight, e.g. ``-5,-6,-4,1/2``."""
+    if not isinstance(text, str):
+        raise DomainError(f"a weight must be text, got {text!r}")
     if not text.strip():
         raise DomainError("empty weight")
     toks = text.split(",")
@@ -49,16 +51,12 @@ def format_weight(weight) -> str:
     return ",".join(str(v) for v in weight)
 
 
-def _not_a_sequence(weight) -> DomainError:
-    return DomainError(f"a weight must be a sequence of entries, got {weight!r}")
+_SEQUENCE_RULE = "a weight must be a sequence of entries"
 
 
 def double(weight, side: str = "back") -> tuple:
     """The doubling maps: back gives (x_1,...,x_n,-x_n,...,-x_1), front the reverse half first."""
-    try:
-        w = tuple(weight)
-    except TypeError:
-        raise _not_a_sequence(weight) from None
+    w = as_tuple(weight, _SEQUENCE_RULE)
     if side == "back":
         return w + tuple([-v for v in reversed(w)])
     if side == "front":
@@ -68,7 +66,7 @@ def double(weight, side: str = "back") -> tuple:
 
 def _exact(v):
     """``v`` itself if it is an int (not a bool) or a Fraction; anything else is a domain error."""
-    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+    if not (is_int(v) or isinstance(v, Fraction)):
         raise DomainError(f"weight entries must be ints or Fractions, got {v!r}")
     return v
 
@@ -86,10 +84,7 @@ def _residue(f: Fraction) -> tuple[int, int]:
 def integer_entries(weight) -> tuple[list[int], list[int]]:
     """The numerators and the denominators of a weight's entries, each checked to be an
     int (not a bool) or a Fraction: the one weight reader the other modules use."""
-    try:
-        w = tuple(weight)
-    except TypeError:
-        raise _not_a_sequence(weight) from None
+    w = as_tuple(weight, _SEQUENCE_RULE)
     for v in w:
         if type(v) is not int and type(v) is not Fraction:  # the common types skip the call
             _exact(v)
@@ -146,10 +141,7 @@ def congruence_decompose(weight, grouping: str) -> CongruenceSplit:
     """
     if grouping not in ("typeA", "bcd"):
         raise DomainError(f"grouping must be 'typeA' or 'bcd', got {grouping!r}")
-    try:
-        w = tuple(map(_as_fraction, weight))
-    except TypeError:
-        raise _not_a_sequence(weight) from None
+    w = tuple(map(_as_fraction, as_tuple(weight, _SEQUENCE_RULE)))
     buckets = class_buckets(*integer_entries(w), grouping == "bcd")
     classes = {
         key: CongruenceClass(
@@ -176,10 +168,7 @@ def tilde(values) -> tuple:
     The entries congruent to the first one (by integral difference) stay put;
     the remaining entries are negated and appended in reversed order.
     """
-    try:
-        vals = tuple(map(_as_fraction, values))
-    except TypeError:
-        raise _not_a_sequence(values) from None
+    vals = tuple(map(_as_fraction, as_tuple(values, _SEQUENCE_RULE)))
     return _tilde(vals, _residue) if vals else ()
 
 

@@ -8,7 +8,7 @@ matters, so the b_i may be given in any order.
 
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, as_tuple, is_int
 from .partitions import Partition, _transpose
 
 
@@ -20,11 +20,11 @@ class ZDiagram(NamedTuple):
 
 
 def _check_type(a0, bs) -> tuple[int, tuple[int, ...]]:
-    if not isinstance(a0, int) or isinstance(a0, bool) or a0 < 0:
+    if not is_int(a0) or a0 < 0:
         raise DomainError(f"a0 must be a non-negative integer, got {a0!r}")
-    bs = tuple(bs)
+    bs = as_tuple(bs, "the b_i must be a sequence of positive integers")
     for b in bs:
-        if not isinstance(b, int) or isinstance(b, bool) or b < 1:
+        if not is_int(b) or b < 1:
             raise DomainError(f"every b_i must be a positive integer, got {b!r}")
     if a0 == 0 and not bs:
         raise DomainError("empty Z-diagram type (0; )")

@@ -4,6 +4,7 @@ Everything here is deliberately naive and self-contained so that it can serve
 as ground truth for the library's fast paths.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -25,6 +26,31 @@ def _partitions(n, max_part):
         for rest in _partitions(n - first, first):
             res.append((first,) + rest)
     return res
+
+
+def collapse_by_steps(p, family: str) -> tuple:
+    """The X-collapse by its step rule, rescanning every part on each step.
+
+    While some part of the wrong parity (odd for C, even for B and D) has odd
+    multiplicity: take the largest such q, lower its last occurrence to q-1
+    and raise the first later part strictly below q-1, or add a part 1.
+    """
+    parts = list(p)
+    bad_parity = 1 if family == "C" else 0
+    while True:
+        counts = Counter(parts)
+        bad = [v for v, c in counts.items() if v % 2 == bad_parity and c % 2 == 1]
+        if not bad:
+            return tuple(parts)
+        q = max(bad)
+        i = max(j for j, v in enumerate(parts) if v == q)
+        parts[i] = q - 1
+        for j in range(i + 1, len(parts)):
+            if parts[j] < q - 1:
+                parts[j] += 1
+                break
+        else:
+            parts.append(1)
 
 
 @lru_cache(maxsize=None)

@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,14 +15,22 @@ import pytest
 import socular
 from socular import (
     CongruenceClass,
+    DomainError,
     EnumerationBudget,
     SocularCertificate,
     congruence_decompose,
     is_socular,
     parabolic_from_composition,
+    parabolic_from_roots,
+    partitions_of,
     richardson_partition,
+    rs_shape,
     z_diagram,
 )
+from socular.hollow import f_stat_column_form
+from socular.oracles import check_collapse
+from socular.partitions import as_partition
+from socular.setups import check_family
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -227,3 +236,103 @@ def test_record_repr_golden():
 def test_certificate_hollow_fields_default_to_none():
     cert = SocularCertificate(verdict=True, gk=7, dim_u=7, reason="gk-equality")
     assert cert.candidate_hollow is None and cert.target_hollow is None
+
+
+def _setup():
+    return parabolic_from_composition("B", (2, 1, 1))
+
+
+# every public entry point that reads a partition, weight, word, composition,
+# root set or Z-diagram type, called with the non-sequence 5 in that place
+NOT_A_SEQUENCE = {
+    "transpose": lambda: socular.transpose(5),
+    "dominates-first": lambda: socular.dominates(5, (1,)),
+    "dominates-second": lambda: socular.dominates((1,), 5),
+    "is_orbit_partition": lambda: socular.is_orbit_partition(5, "B"),
+    "is_special": lambda: socular.is_special(5, "B"),
+    "collapse": lambda: socular.collapse(5, "B"),
+    "expand": lambda: socular.expand(5, "B"),
+    "parse_partition": lambda: socular.parse_partition(5),
+    "parity_profile": lambda: socular.parity_profile(5),
+    "hollow": lambda: socular.hollow(5, "odd"),
+    "f_stat": lambda: socular.f_stat(5, "a"),
+    "f_stat_column_form": lambda: f_stat_column_form(5, "b"),
+    "render_diagram": lambda: socular.render_diagram(5),
+    "render_hollow": lambda: socular.render_hollow(5, "odd"),
+    "is_domino_type": lambda: socular.is_domino_type(5),
+    "h_algorithm": lambda: socular.h_algorithm(5, "B"),
+    "orbit_dimension": lambda: socular.orbit_dimension(5, "A"),
+    "collapse_oracle": lambda: socular.collapse_oracle(5, "B"),
+    "expand_oracle": lambda: socular.expand_oracle(5, "B"),
+    "restricted_transform_oracle": lambda: socular.restricted_transform_oracle(5, "B"),
+    "z_diagram": lambda: socular.z_diagram(1, 5),
+    "z_closed_forms": lambda: socular.z_closed_forms(1, 5),
+    "rs_tableau": lambda: socular.rs_tableau(5),
+    "f_stat_sequence": lambda: socular.f_stat_sequence(5, "a"),
+    "parse_weight": lambda: socular.parse_weight(5),
+    "double": lambda: socular.double(5),
+    "tilde": lambda: socular.tilde(5),
+    "congruence_decompose": lambda: socular.congruence_decompose(5, "bcd"),
+    "is_integral": lambda: socular.is_integral(5),
+    "gk_dimension": lambda: socular.gk_dimension(5, "B"),
+    "gk_breakdown": lambda: socular.gk_breakdown(5, "B"),
+    "is_p_dominant": lambda: socular.is_p_dominant(5, _setup()),
+    "is_socular": lambda: socular.is_socular(5, _setup()),
+    "parabolic_from_composition": lambda: socular.parabolic_from_composition("B", 5),
+    "parabolic_from_roots": lambda: socular.parabolic_from_roots("B", 3, 5),
+}
+
+
+@pytest.mark.parametrize("name", NOT_A_SEQUENCE)
+def test_every_public_boundary_refuses_a_non_sequence_as_bad_input(name):
+    with pytest.raises(DomainError):
+        NOT_A_SEQUENCE[name]()
+
+
+class _Two(IntEnum):
+    TWO = 2
+
+
+# every int argument read by errors.is_int, as a function of the value passed
+INT_ARGUMENTS = {
+    "as_partition": lambda v: as_partition((v,)),
+    "partitions_of": lambda v: list(partitions_of(v)),
+    "check_family": lambda v: check_family("B", v),
+    "parabolic_from_roots": lambda v: parabolic_from_roots("B", 3, {v}),
+    "z_diagram": lambda v: z_diagram(v, (v,)),
+    "rs_shape": lambda v: rs_shape((1, 3, 2), v),
+    "EnumerationBudget": lambda v: check_collapse(EnumerationBudget(max_total=v, entry_window=(0, v), max_n=v)),
+}
+
+
+@pytest.mark.parametrize("name", INT_ARGUMENTS)
+def test_one_int_rule_refuses_a_bool_and_accepts_an_int_subclass(name):
+    call = INT_ARGUMENTS[name]
+    with pytest.raises(DomainError):
+        call(True)
+    assert call(_Two.TWO) == call(2)
+
+
+# names a module imports only for its importers (pinned by test_names_kept_where_importers_reach_them)
+RE_EXPORTS = {("gkdim", "FAMILIES"), ("parabolic", "parabolic_from_composition"), ("parabolic", "parabolic_from_roots")}
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """``file:name`` of every name a module-level import binds that the module never reads."""
+    tree = ast.parse(path.read_text())
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"{path.name}:{name}"
+        for name in bound
+        if name not in read and (path.stem, name) not in RE_EXPORTS
+    ]
+
+
+def test_library_modules_read_every_name_they_import():
+    paths = sorted((ROOT / "src" / "socular").glob("*.py"))
+    assert len(paths) > 10
+    assert [name for path in paths for name in _unused_imports(path)] == []

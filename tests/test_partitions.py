@@ -23,7 +23,7 @@ from socular import (
 )
 from socular.partitions import ORBIT_FAMILIES, as_partition, format_partition, partitions_of
 
-from helpers import _partitions, all_partitions
+from helpers import _partitions, all_partitions, collapse_by_steps
 
 
 def test_transpose_examples():
@@ -116,6 +116,23 @@ def test_collapse_matches_oracle_smoke():
             if sum(p) % 2 != (1 if family == "B" else 0):
                 continue
             assert collapse(p, family) == collapse_oracle(p, family)
+
+
+def test_collapse_walk_takes_the_steps_of_the_rule():
+    for p in all_partitions(24):
+        for family in ORBIT_FAMILIES:
+            if sum(p) % 2 == (family == "B"):
+                assert collapse(p, family) == collapse_by_steps(p, family), (p, family)
+
+
+@pytest.mark.parametrize("family, first", [("D", 2), ("C", 1)])
+def test_collapse_of_a_long_staircase_of_bad_parts(family, first):
+    # 1,000 distinct parts of the wrong parity, each a bad block of its own: the
+    # rule takes a step for most of them, and its per-step rescan made collapse quadratic
+    p = tuple(range(first + 2 * 999, first - 1, -2))
+    c = collapse(p, family)
+    assert c == collapse_by_steps(p, family)
+    assert is_orbit_partition(c, family) and dominates(p, c)
 
 
 def test_expand_examples():
