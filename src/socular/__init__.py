@@ -22,6 +22,7 @@ _EXPORTS = {
         "collapse_oracle",
         "expand_oracle",
         "restricted_transform_oracle",
+        "richardson_oracle",
         "socular_enumeration",
     ),
     "parabolic": ("SocularCertificate", "is_p_dominant", "is_socular"),

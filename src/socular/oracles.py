@@ -10,15 +10,17 @@ Each oracle validates its argument once; the partitions it enumerates come from
 unchecked kernels of :mod:`socular.partitions` and :mod:`socular.hollow`.
 
 A sweep enumerates each candidate set once: the orbit partitions of a total
-are one cached table that oracle calls filter or look up by hollow key, the
-p-dominant weights of a window are generated block by block instead of
-filtered out of the whole window, and ``check_socular`` computes GK dimension
-and the criterion's candidate once per weight of a rank, not once per setup.
+are one cached table that oracle calls filter or look up by hollow key, beside
+a second table of each one's prefix sums and specialness, the p-dominant
+weights of a window are generated block by block instead of filtered out of
+the whole window, and ``check_socular`` computes GK dimension and the
+criterion's candidate once per weight of a rank, not once per setup.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import accumulate, chain, combinations, product
+from operator import ge
 from typing import NamedTuple
 
 from .errors import DomainError, IntegrityError, is_int
@@ -30,7 +32,6 @@ from .partitions import (
     Partition,
     _check_orbit_family,
     _collapse_input,
-    _dominates,
     _is_orbit,
     _is_special,
     _orbit_input,
@@ -38,7 +39,8 @@ from .partitions import (
     collapse,
     partitions_of,
 )
-from .setups import ParabolicSetup, check_family, dim_nilradical, parabolic_from_roots
+from .richardson import richardson_partition
+from .setups import ParabolicSetup, check_family, dim_nilradical, parabolic_from_roots, z_type
 from .tableaux import rs_tableau, shape
 from .transforms import _is_domino_type, h_algorithm
 
@@ -53,10 +55,21 @@ class EnumerationBudget(NamedTuple):
 
 
 def _unique_extreme(cands: list[Partition], top: bool, context: str) -> Partition:
-    """The candidate that dominates every other (``top``) or that every other dominates."""
-    for q in cands:
-        if all(_dominates(q, other) if top else _dominates(other, q) for other in cands):
-            return q
+    """The candidate that dominates every other (``top``) or that every other dominates.
+
+    The candidates come in descending lexicographic order, which dominance
+    refines, so only the first can be a maximum and only the last a minimum:
+    that one is compared with every candidate.
+    """
+    if cands:
+        end = cands[0] if top else cands[-1]
+        sums = tuple(accumulate(end))
+        if top:
+            unique = all(all(map(ge, sums, accumulate(q))) for q in cands)
+        else:
+            unique = all(all(map(ge, accumulate(q), sums)) for q in cands)
+        if unique:
+            return end
     extreme = "maximum" if top else "minimum"
     raise IntegrityError(f"no unique dominance {extreme} among {len(cands)} candidates: {context}")
 
@@ -76,17 +89,29 @@ def _orbit_partitions_by_hollow(total: int, family: str) -> dict[tuple[int, ...]
     return {key: tuple(group) for key, group in groups.items()}
 
 
+@lru_cache(maxsize=ORBIT_TABLE_SIZE)
+def _orbit_facts(total: int, family: str) -> dict[Partition, tuple[tuple[int, ...], bool]]:
+    """Each of :func:`_orbit_partitions`, in its order, with its prefix sums and whether it is special.
+
+    Two partitions of one total compare by their prefix sums alone: the sums
+    past the shorter one cannot fail, so ``all(map(ge, ...))`` is dominance.
+    """
+    return {q: (tuple(accumulate(q)), _is_special(q, family)) for q in _orbit_partitions(total, family)}
+
+
 def collapse_oracle(p, family: str) -> Partition:
     """Dominance-maximum type-``family`` partition below ``p``, by full enumeration."""
     p = _collapse_input(p, family)
-    cands = [q for q in _orbit_partitions(sum(p), family) if _dominates(p, q)]
+    sums = tuple(accumulate(p))
+    cands = [q for q, (qs, _) in _orbit_facts(sum(p), family).items() if all(map(ge, sums, qs))]
     return _unique_extreme(cands, True, f"collapse of {p} in type {family}")
 
 
 def expand_oracle(p, family: str) -> Partition:
     """Dominance-minimum special type-``family`` partition above ``p``, by full enumeration."""
     p = _orbit_input(p, family)
-    cands = [q for q in _orbit_partitions(sum(p), family) if _is_special(q, family) and _dominates(q, p)]
+    sums = tuple(accumulate(p))
+    cands = [q for q, (qs, special) in _orbit_facts(sum(p), family).items() if special and all(map(ge, qs, sums))]
     return _unique_extreme(cands, False, f"expansion of {p} in type {family}")
 
 
@@ -112,17 +137,40 @@ def restricted_transform_oracle(p, family: str) -> Partition:
         reference = (p[0] + 1,) + p[1:] if p else (1,)
     else:
         reference = p
-    below = [q for q in cands if _dominates(reference, q)]
+    facts = _orbit_facts(target, family)
+    sums = tuple(accumulate(reference))
+    below = [q for q in cands if all(map(ge, sums, facts[q][0]))]
     context = f"restricted transform of {p} in type {family}"
-    lower = _unique_extreme(below, True, context) if below else None
+    # the prefix sums of the restricted collapse, which the specials must dominate
+    lower = facts[_unique_extreme(below, True, context)][0] if below else None
     specials = [
         q
         for q in cands
-        if _is_special(q, family) and (lower is None or _dominates(q, lower))
+        if facts[q][1] and (lower is None or all(map(ge, facts[q][0], lower)))
     ]
     if not specials:
         raise IntegrityError(f"no special candidate above the restricted collapse: {context}")
     return _unique_extreme(specials, False, context)
+
+
+def richardson_oracle(setup: ParabolicSetup) -> Partition:
+    """The Richardson partition of a B/C/D parabolic, by inducing the zero orbit of its Levi factor.
+
+    Start from the zero orbit of the small factor, 1^(2n_k+1) for B and
+    1^(2n_k) for C and D; for each ``gl(b)`` block add 2 to the first b parts,
+    padding with zeros, and collapse with :func:`collapse_oracle`
+    (Collingwood-McGovern, *Nilpotent Orbits in Semisimple Lie Algebras*, 7.1
+    and 7.3).  A very even D partition names two orbits; this gives the
+    partition only.
+    """
+    family = setup.family
+    _check_orbit_family(family)
+    tail, blocks = z_type(setup)
+    p = (1,) * (2 * tail + (family == "B"))
+    for b in blocks:
+        padded = p + (0,) * (b - len(p))
+        p = collapse_oracle(tuple(v + 2 for v in padded[:b]) + padded[b:], family)
+    return p
 
 
 def _frac(v) -> Fraction:
@@ -258,6 +306,18 @@ def check_collapse(budget: EnumerationBudget) -> list[str]:
                 fast, slow = collapse(p, family), collapse_oracle(p, family)
                 if fast != slow:
                     failures.append(f"collapse {p} {family}: {fast} != oracle {slow}")
+    return failures
+
+
+def check_richardson(budget: EnumerationBudget) -> list[str]:
+    """Compare the Richardson partition against the induction oracle on every B/C/D setup up to ``max_n``."""
+    _check_budget(budget)
+    failures = []
+    for family in ORBIT_FAMILIES:
+        for setup in _all_setups(family, budget.max_n):
+            fast, slow = richardson_partition(setup).partition, richardson_oracle(setup)
+            if fast != slow:
+                failures.append(f"richardson {setup}: {fast} != oracle {slow}")
     return failures
 
 

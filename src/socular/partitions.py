@@ -22,11 +22,17 @@ Partition = tuple[int, ...]
 
 
 def as_partition(parts: Iterable[int]) -> Partition:
-    """Validate an iterable of parts and return it as a canonical tuple."""
+    """Validate an iterable of parts and return it as a canonical tuple of plain ints."""
     p = as_tuple(parts, "a partition must be a sequence of parts")
+    cast = False
     for v in p:
+        if type(v) is int and v > 0:
+            continue
         if not is_int(v) or v < 1:
             raise DomainError(f"partition parts must be positive integers, got {v!r}")
+        cast = True  # an int subclass, such as an IntEnum member
+    if cast:
+        p = tuple(map(int, p))
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
         raise DomainError(f"partition parts must be weakly decreasing: {p}")
     return p
@@ -198,13 +204,15 @@ def expand(p: Iterable[int], family: str) -> Partition:
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
     """All partitions of ``n`` with parts at most ``max_part``, in descending lexicographic order.
 
-    The arguments are checked at the call, before the first partition is asked for.
+    The arguments are checked at the call, before the first partition is asked
+    for; the parts are plain ints even where an argument is an int subclass.
     """
     if not is_int(n) or not (max_part is None or is_int(max_part)):
         raise DomainError(f"partitions_of takes integers, got n={n!r}, max_part={max_part!r}")
     if n < 0:
         raise DomainError("cannot partition a negative integer")
-    return _partitions_of(n, n if max_part is None or max_part > n else max_part)
+    top = n if max_part is None or max_part > n else max_part
+    return _partitions_of(n if type(n) is int else int(n), top if type(top) is int else int(top))
 
 
 def _partitions_of(n: int, max_part: int) -> Iterator[Partition]:

@@ -48,9 +48,15 @@ def _insert_all(lines: list[list], seq, search=bisect_right, ratio: int = 0) -> 
     return lines
 
 
+def _rows(tableau: Tableau) -> list[list]:
+    """The rows of a tableau as lists; a tableau or a row that is not a sequence is a :class:`DomainError`."""
+    rows = as_tuple(tableau, "a tableau must be a sequence of rows")
+    return [list(as_tuple(row, "a tableau row must be a sequence of entries")) for row in rows]
+
+
 def rs_insert(tableau: Tableau, value) -> Tableau:
     """Insert one value by row bumping and return the new tableau."""
-    rows = _insert_all([list(r) for r in tableau], (value,))
+    rows = _insert_all(_rows(tableau), (value,))
     return tuple(tuple(r) for r in rows)
 
 
@@ -61,7 +67,7 @@ def rs_tableau(seq) -> Tableau:
 
 def shape(tableau: Tableau) -> Partition:
     """Row lengths of a tableau, as a partition."""
-    sh = tuple(len(row) for row in tableau)
+    sh = tuple(map(len, _rows(tableau)))
     if any(sh[i] < sh[i + 1] for i in range(len(sh) - 1)):
         raise DomainError(f"rows do not form a partition shape: {sh}")
     return sh
@@ -74,11 +80,16 @@ def rs_shape(seq: tuple, den: int = 1) -> Partition:
     The shape depends only on the relative order of the entries, which one
     positive ``den`` keeps, so ``den`` only keys the cache: numerators over
     d > 1 pass d, and keys are equal exactly when the value sequences are.
-    The entries are inserted as they are given, whatever their type.
+    The entries are inserted as they are given, whatever their type.  A
+    ``seq`` that is not a tuple is a :class:`DomainError`, except that an
+    unhashable one, such as a list, raises ``TypeError`` from the cache before
+    the body runs.
     A word whose rows come to outnumber twice its columns (p-dominant weights
     double to a few falling runs) is column-inserted in reverse instead, and
     row-inserted to the end if its columns then come to outnumber its rows.
     """
+    if not isinstance(seq, tuple):
+        raise DomainError(f"a word must be a tuple of entries, got {seq!r}")
     if not is_int(den) or den < 1:
         raise DomainError(f"den must be a positive int, got {den!r}")
     rows = _insert_all([], seq, bisect_right, 2)

@@ -29,6 +29,8 @@ def _entry(text: str) -> Fraction:
 
 def parse_rational(text: str) -> Fraction:
     """Parse one entry: ``a``, ``-a`` or ``a/b`` with b > 0.  No decimals."""
+    if not isinstance(text, str):
+        raise DomainError(f"a rational literal must be text, got {text!r}")
     if not _ENTRY_RE.fullmatch(text):
         raise DomainError(f"not a rational literal: {text.strip()!r}")
     return _entry(text)

@@ -1,24 +1,29 @@
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 
 from socular import (
     DomainError,
     EnumerationBudget,
+    IntegrityError,
     collapse_oracle,
     dim_nilradical,
     expand,
     expand_oracle,
+    is_domino_type,
     is_orbit_partition,
     is_p_dominant,
     parabolic_from_composition,
     restricted_transform_oracle,
+    richardson_oracle,
+    richardson_partition,
     socular_enumeration,
 )
-from socular import gkdim, oracles
-from socular.oracles import check_collapse, check_halg, check_socular, integral_weights
+from socular import gkdim, oracles, partitions, richardson
+from socular.oracles import check_collapse, check_halg, check_richardson, check_socular, integral_weights
 from socular.parabolic import _p_dominant
-from socular.partitions import ORBIT_FAMILIES, _is_orbit, partitions_of
+from socular.partitions import ORBIT_FAMILIES, _dominates, _is_orbit, _is_special, partitions_of
 
 
 def test_collapse_oracle_fixed_points():
@@ -89,7 +94,7 @@ def test_budget_rank_guard():
         socular_enumeration(setup, EnumerationBudget(max_n=3))
 
 
-@pytest.mark.parametrize("check", [check_collapse, check_halg, check_socular])
+@pytest.mark.parametrize("check", [check_collapse, check_halg, check_socular, check_richardson])
 @pytest.mark.parametrize(
     "budget, field",
     [(EnumerationBudget(max_total=-3), "max_total"), (EnumerationBudget(max_n=0), "max_n")],
@@ -102,6 +107,7 @@ def test_checks_refuse_a_budget_that_compares_nothing(check, budget, field):
 def test_checks_accept_the_smallest_budget():
     smallest = EnumerationBudget(max_total=0, entry_window=(0, 0), max_n=1)
     assert check_collapse(smallest) == check_halg(smallest) == check_socular(smallest) == []
+    assert check_richardson(smallest) == []
 
 
 @pytest.mark.parametrize("families", [("A", "D"), ()])
@@ -161,7 +167,7 @@ def _enumerate_b1(budget):
     return socular_enumeration(parabolic_from_composition("B", (1,)), budget)
 
 
-@pytest.mark.parametrize("check", [check_collapse, check_halg, check_socular, _enumerate_b1])
+@pytest.mark.parametrize("check", [check_collapse, check_halg, check_socular, check_richardson, _enumerate_b1])
 @pytest.mark.parametrize(
     "budget, field",
     [
@@ -202,7 +208,28 @@ def test_orbit_partition_tables_are_the_filtered_partitions():
         for family in ORBIT_FAMILIES:
             want = tuple(q for q in partitions_of(total) if _is_orbit(q, family))
             assert oracles._orbit_partitions(total, family) == want, (total, family)
+            facts = oracles._orbit_facts(total, family)
+            assert tuple(facts) == want, (total, family)
+            for q in want:
+                assert facts[q] == (tuple(accumulate(q)), _is_special(q, family)), (q, family)
     assert oracles._orbit_partitions.cache_info().maxsize is not None
+    assert oracles._orbit_facts.cache_info().maxsize is not None
+
+
+def test_check_collapse_fills_each_fact_table_once():
+    oracles._orbit_partitions.cache_clear()
+    oracles._orbit_facts.cache_clear()
+    assert check_collapse(EnumerationBudget(max_total=14)) == []
+    facts, tables = oracles._orbit_facts.cache_info(), oracles._orbit_partitions.cache_info()
+    oracles._orbit_partitions.cache_clear()
+    oracles._orbit_facts.cache_clear()
+    # odd totals in B, even totals in C and D
+    pairs = sum(1 if total % 2 else 2 for total in range(15))
+    assert pairs == 23
+    assert facts.misses == tables.misses == pairs
+    # one table read per collapse_oracle call
+    calls = sum((1 if total % 2 else 2) * len(list(partitions_of(total))) for total in range(15))
+    assert facts.hits + facts.misses == calls
 
 
 def test_check_halg_enumerates_each_total_and_family_once(monkeypatch):
@@ -224,3 +251,84 @@ def test_check_halg_enumerates_each_total_and_family_once(monkeypatch):
     outer = Counter(range(0, 17, 2))
     tables = Counter(t for total in range(0, 17, 2) for t in (total, total, total + 1))
     assert calls == outer + tables
+
+
+def _unique_extreme_all_pairs(cands, top, context):
+    """The extreme rule before the lexicographic-end one: try every candidate in turn."""
+    for q in cands:
+        if all(_dominates(q, other) if top else _dominates(other, q) for other in cands):
+            return q
+    extreme = "maximum" if top else "minimum"
+    raise IntegrityError(f"no unique dominance {extreme} among {len(cands)} candidates: {context}")
+
+
+def _outcome(rule, cands, top, context):
+    try:
+        return rule(cands, top, context)
+    except IntegrityError as exc:
+        return f"IntegrityError: {exc}"
+
+
+def test_lexicographic_end_rule_agrees_with_all_pairs(monkeypatch):
+    seen = []
+    real = oracles._unique_extreme
+
+    def recording(cands, top, context):
+        seen.append((list(cands), top, context))
+        return real(cands, top, context)
+
+    monkeypatch.setattr(oracles, "_unique_extreme", recording)
+    for total in range(17):
+        for p in partitions_of(total):
+            for family in ORBIT_FAMILIES:
+                if total % 2 == (family == "B"):
+                    collapse_oracle(p, family)
+                if _is_orbit(p, family):
+                    expand_oracle(p, family)
+                if is_domino_type(p):
+                    restricted_transform_oracle(p, family)
+    assert len(seen) > 3000
+    for cands, top, context in seen:
+        want = _outcome(_unique_extreme_all_pairs, cands, top, context)
+        assert _outcome(real, cands, top, context) == want, (cands, top, context)
+
+
+@pytest.mark.parametrize("top, extreme", [(True, "maximum"), (False, "minimum")])
+def test_incomparable_candidates_have_no_extreme(top, extreme):
+    cands = [(3, 1, 1, 1), (2, 2, 2)]
+    message = f"^no unique dominance {extreme} among 2 candidates: a test$"
+    with pytest.raises(IntegrityError, match=message):
+        _unique_extreme_all_pairs(cands, top, "a test")
+    with pytest.raises(IntegrityError, match=message):
+        oracles._unique_extreme(cands, top, "a test")
+
+
+def test_richardson_oracle_matches_richardson_partition_to_rank_8():
+    # every B/C/D setup of rank <= 8; very even D partitions are compared as partitions
+    setups = [setup for family in ORBIT_FAMILIES for setup in oracles._all_setups(family, 8)]
+    assert len(setups) == 1528
+    assert sum(richardson_partition(setup).very_even for setup in setups) > 0
+    assert check_richardson(EnumerationBudget(max_n=8)) == []
+
+
+def test_richardson_oracle_never_runs_the_library_collapse(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the library collapse ran")
+
+    examples = {
+        ("B", (1, 3, 5, 2)): (7, 5, 5, 3, 3),
+        ("D", (1, 7, 3)): (5, 3, 3, 3, 3, 3, 1, 1),
+        ("C", (2, 1, 1)): (4, 4),
+        ("D", (2, 2, 0)): (4, 4),
+    }
+    want = {key: richardson_partition(parabolic_from_composition(*key)).partition for key in examples}
+    assert want == examples
+    monkeypatch.setattr(partitions, "_collapse", refuse)
+    monkeypatch.setattr(richardson, "_collapse", refuse)
+    for key, part in examples.items():
+        assert richardson_oracle(parabolic_from_composition(*key)) == part, key
+
+
+def test_richardson_oracle_refuses_type_a():
+    with pytest.raises(DomainError):
+        richardson_oracle(parabolic_from_composition("A", (2, 1)))

@@ -31,6 +31,7 @@ from socular.hollow import f_stat_column_form
 from socular.oracles import check_collapse
 from socular.partitions import as_partition
 from socular.setups import check_family
+from socular.weights import parse_rational
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
@@ -39,6 +40,7 @@ ORACLE_EXPORTS = (
     "collapse_oracle",
     "expand_oracle",
     "restricted_transform_oracle",
+    "richardson_oracle",
     "socular_enumeration",
 )
 
@@ -158,7 +160,12 @@ def test_every_library_cache_is_bounded():
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
                 sizes[f"{info.name}.{name}"] = obj.cache_info().maxsize
-    assert {"tableaux.rs_shape", "oracles._orbit_partitions", "oracles._orbit_partitions_by_hollow"} <= set(sizes)
+    assert {
+        "tableaux.rs_shape",
+        "oracles._orbit_partitions",
+        "oracles._orbit_partitions_by_hollow",
+        "oracles._orbit_facts",
+    } <= set(sizes)
     assert all(size is not None for size in sizes.values()), sizes
     assert not [name for name in sizes if name.startswith("hollow.")]
 
@@ -268,8 +275,14 @@ NOT_A_SEQUENCE = {
     "z_diagram": lambda: socular.z_diagram(1, 5),
     "z_closed_forms": lambda: socular.z_closed_forms(1, 5),
     "rs_tableau": lambda: socular.rs_tableau(5),
+    "rs_insert": lambda: socular.rs_insert(5, 1),
+    "rs_insert-row": lambda: socular.rs_insert((5,), 1),
+    "shape": lambda: socular.shape(5),
+    "shape-row": lambda: socular.shape((5,)),
+    "rs_shape": lambda: socular.rs_shape(5),
     "f_stat_sequence": lambda: socular.f_stat_sequence(5, "a"),
     "parse_weight": lambda: socular.parse_weight(5),
+    "parse_rational": lambda: parse_rational(5),
     "double": lambda: socular.double(5),
     "tilde": lambda: socular.tilde(5),
     "congruence_decompose": lambda: socular.congruence_decompose(5, "bcd"),
@@ -311,6 +324,13 @@ def test_one_int_rule_refuses_a_bool_and_accepts_an_int_subclass(name):
     with pytest.raises(DomainError):
         call(True)
     assert call(_Two.TWO) == call(2)
+
+
+def test_an_int_subclass_gives_plain_int_parts():
+    # equal and hashing alike, but a member's repr would show in messages and records
+    for parts in [*partitions_of(_Two.TWO), *partitions_of(4, _Two.TWO), as_partition((_Two.TWO, 1))]:
+        assert [type(v) for v in parts] == [int] * len(parts), parts
+    assert repr(socular.transpose((_Two.TWO, _Two.TWO))) == "(2, 2)"
 
 
 # names a module imports only for its importers (pinned by test_names_kept_where_importers_reach_them)
