@@ -14,7 +14,7 @@ from types import ModuleType
 # (PEP 562): its module is imported and all of that module's names are bound
 # here, after which they are plain module globals.
 _EXPORTS = {
-    "errors": ("DomainError", "IntegrityError"),
+    "errors": ("DomainError", "FAMILIES", "IntegrityError"),
     "gkdim": ("f_stat_sequence", "gk_breakdown", "gk_dimension"),
     "hollow": ("f_stat", "hollow", "parity_profile", "render_diagram", "render_hollow"),
     "oracles": (
@@ -38,7 +38,6 @@ _EXPORTS = {
     ),
     "richardson": ("RichardsonResult", "orbit_dimension", "richardson_partition"),
     "setups": (
-        "FAMILIES",
         "ParabolicSetup",
         "dim_nilradical",
         "parabolic_from_composition",

@@ -19,6 +19,9 @@ from .partitions import format_partition
 
 USAGE_ERROR, DOMAIN_ERROR, INTEGRITY_ERROR = 1, 2, 3
 
+# the oracle checks the CLI runs, each by its ``oracles.check_<name>``
+ORACLE_CHECKS = ("collapse", "halg", "socular")
+
 
 class _UsageError(Exception):
     pass
@@ -155,15 +158,14 @@ def _cmd_partition_op(args, op: str) -> dict | str:
 
 
 def _cmd_oracle(args) -> str:
-    from .oracles import EnumerationBudget, check_collapse, check_halg, check_socular
+    from . import oracles
 
     if args.window < 0:
         raise socular.DomainError(f"--window must be at least 0, got {args.window}")
-    budget = EnumerationBudget(
+    budget = oracles.EnumerationBudget(
         max_total=args.max_total, entry_window=(-args.window, args.window), max_n=args.max_n
     )
-    checks = {"collapse": check_collapse, "halg": check_halg, "socular": check_socular}
-    failures = checks[args.check](budget)
+    failures = getattr(oracles, f"check_{args.check}")(budget)
     if failures:
         for line in failures:
             print(line, file=sys.stderr)
@@ -210,7 +212,7 @@ def _zdiagram(p) -> None:
 
 def _oracle(p) -> None:
     p.set_defaults(json=False)  # no output options: it prints text
-    p.add_argument("--check", choices=["collapse", "halg", "socular"], required=True)
+    p.add_argument("--check", choices=ORACLE_CHECKS, required=True)
     p.add_argument("--max-total", type=int, default=10)
     p.add_argument("--max-n", type=int, default=2)
     p.add_argument("--window", type=int, default=3)

@@ -1,4 +1,9 @@
-"""Error types shared across the library, and the int rule and the sequence reader of every public boundary."""
+"""Error types shared across the library, and the rules of every public boundary.
+
+The int rule, the sequence reader and the family-and-rank check live here, so
+a module that needs only them, :mod:`socular.gkdim` among them, loads no
+parabolic setup code.
+"""
 
 
 class DomainError(ValueError):
@@ -20,3 +25,17 @@ def as_tuple(value, must: str) -> tuple:
         return tuple(value)
     except TypeError:
         raise DomainError(f"{must}, got {value!r}") from None
+
+
+FAMILIES = ("A", "B", "C", "D")
+
+
+def check_family(family: str, n: int) -> None:
+    if family not in FAMILIES:
+        raise DomainError(f"family must be one of {FAMILIES}, got {family!r}")
+    if not is_int(n):
+        raise DomainError(f"rank must be an int, got {n!r}")
+    if n < 1:
+        raise DomainError("rank must be positive")
+    if family in ("A", "D") and n < 2:
+        raise DomainError(f"family {family} needs n >= 2, got n={n}")

@@ -10,9 +10,8 @@ over one denominator d, and ``rs_shape`` gets d only when d > 1, where it
 only keys the cache.
 """
 
-from .errors import as_tuple
+from .errors import FAMILIES, as_tuple, check_family  # FAMILIES: re-exported for importers of this module
 from .hollow import _f_stat, f_stat
-from .setups import FAMILIES, check_family  # FAMILIES: re-exported for importers of this module
 from .tableaux import rs_shape
 from .weights import class_buckets, double, integer_entries, tilde_numerators
 

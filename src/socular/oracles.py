@@ -10,11 +10,12 @@ Each oracle validates its argument once; the partitions it enumerates come from
 unchecked kernels of :mod:`socular.partitions` and :mod:`socular.hollow`.
 
 A sweep enumerates each candidate set once: the orbit partitions of a total
-are one cached table that oracle calls filter or look up by hollow key, beside
-a second table of each one's prefix sums and specialness, the p-dominant
-weights of a window are generated block by block instead of filtered out of
-the whole window, and ``check_socular`` computes GK dimension and the
-criterion's candidate once per weight of a rank, not once per setup.
+are one cached table, built in one pass, that holds each one's prefix sums and
+specialness and groups them by hollow key, the p-dominant weights of a window
+are generated block by block instead of filtered out of the whole window, and
+``check_socular`` computes GK dimension and the criterion's candidate once per
+weight of a rank, not once per setup.  The fast-against-oracle checks share one
+runner, :func:`_mismatches`, each feeding it a generator of cases.
 """
 
 from fractions import Fraction
@@ -23,7 +24,7 @@ from itertools import accumulate, chain, combinations, product
 from operator import ge
 from typing import NamedTuple
 
-from .errors import DomainError, IntegrityError, is_int
+from .errors import DomainError, IntegrityError, check_family, is_int
 from .gkdim import gk_dimension
 from .hollow import FAMILY_PARITY, _hollow_key, f_stat
 from .parabolic import _integral_candidate, _integral_target, _tail_dominant
@@ -40,7 +41,7 @@ from .partitions import (
     partitions_of,
 )
 from .richardson import richardson_partition
-from .setups import ParabolicSetup, check_family, dim_nilradical, parabolic_from_roots, z_type
+from .setups import ParabolicSetup, _as_setup, dim_nilradical, parabolic_from_roots, z_type
 from .tableaux import rs_tableau, shape
 from .transforms import _is_domino_type, h_algorithm
 
@@ -54,20 +55,20 @@ class EnumerationBudget(NamedTuple):
     max_n: int = 3
 
 
-def _unique_extreme(cands: list[Partition], top: bool, context: str) -> Partition:
+def _unique_extreme(cands: list[Partition], facts: dict, top: bool, context: str) -> Partition:
     """The candidate that dominates every other (``top``) or that every other dominates.
 
     The candidates come in descending lexicographic order, which dominance
     refines, so only the first can be a maximum and only the last a minimum:
-    that one is compared with every candidate.
+    that one is compared with every candidate, by the prefix sums in ``facts``.
     """
     if cands:
         end = cands[0] if top else cands[-1]
-        sums = tuple(accumulate(end))
+        sums = facts[end][0]
         if top:
-            unique = all(all(map(ge, sums, accumulate(q))) for q in cands)
+            unique = all(all(map(ge, sums, facts[q][0])) for q in cands)
         else:
-            unique = all(all(map(ge, accumulate(q), sums)) for q in cands)
+            unique = all(all(map(ge, facts[q][0], sums)) for q in cands)
         if unique:
             return end
     extreme = "maximum" if top else "minimum"
@@ -75,44 +76,41 @@ def _unique_extreme(cands: list[Partition], top: bool, context: str) -> Partitio
 
 
 @lru_cache(maxsize=ORBIT_TABLE_SIZE)
-def _orbit_partitions(total: int, family: str) -> tuple[Partition, ...]:
-    """Every type-``family`` orbit partition of ``total``, in :func:`partitions_of` order."""
-    return tuple(q for q in partitions_of(total) if _is_orbit(q, family))
+def _orbit_table(total: int, family: str):
+    """Every type-``family`` orbit partition of ``total``, in :func:`partitions_of` order, as two views.
 
-
-@lru_cache(maxsize=ORBIT_TABLE_SIZE)
-def _orbit_partitions_by_hollow(total: int, family: str) -> dict[tuple[int, ...], tuple[Partition, ...]]:
-    """:func:`_orbit_partitions` grouped by their hollow keys in the family's parity, each group in order."""
-    groups: dict[tuple[int, ...], list[Partition]] = {}
-    for q in _orbit_partitions(total, family):
-        groups.setdefault(_hollow_key(q, FAMILY_PARITY[family]), []).append(q)
-    return {key: tuple(group) for key, group in groups.items()}
-
-
-@lru_cache(maxsize=ORBIT_TABLE_SIZE)
-def _orbit_facts(total: int, family: str) -> dict[Partition, tuple[tuple[int, ...], bool]]:
-    """Each of :func:`_orbit_partitions`, in its order, with its prefix sums and whether it is special.
-
-    Two partitions of one total compare by their prefix sums alone: the sums
-    past the shorter one cannot fail, so ``all(map(ge, ...))`` is dominance.
+    ``facts`` maps each to its prefix sums and whether it is special;
+    ``by_hollow`` maps each hollow key in the family's parity to the
+    partitions that have it, in order.  Two partitions of one total compare by
+    their prefix sums alone: the sums past the shorter one cannot fail, so
+    ``all(map(ge, ...))`` is dominance.
     """
-    return {q: (tuple(accumulate(q)), _is_special(q, family)) for q in _orbit_partitions(total, family)}
+    parity = FAMILY_PARITY[family]
+    facts: dict[Partition, tuple[tuple[int, ...], bool]] = {}
+    groups: dict[tuple[int, ...], list[Partition]] = {}
+    for q in partitions_of(total):
+        if _is_orbit(q, family):
+            facts[q] = (tuple(accumulate(q)), _is_special(q, family))
+            groups.setdefault(_hollow_key(q, parity), []).append(q)
+    return facts, {key: tuple(group) for key, group in groups.items()}
 
 
 def collapse_oracle(p, family: str) -> Partition:
     """Dominance-maximum type-``family`` partition below ``p``, by full enumeration."""
     p = _collapse_input(p, family)
+    facts, _ = _orbit_table(sum(p), family)
     sums = tuple(accumulate(p))
-    cands = [q for q, (qs, _) in _orbit_facts(sum(p), family).items() if all(map(ge, sums, qs))]
-    return _unique_extreme(cands, True, f"collapse of {p} in type {family}")
+    cands = [q for q, (qs, _) in facts.items() if all(map(ge, sums, qs))]
+    return _unique_extreme(cands, facts, True, f"collapse of {p} in type {family}")
 
 
 def expand_oracle(p, family: str) -> Partition:
     """Dominance-minimum special type-``family`` partition above ``p``, by full enumeration."""
     p = _orbit_input(p, family)
+    facts, _ = _orbit_table(sum(p), family)
     sums = tuple(accumulate(p))
-    cands = [q for q, (qs, special) in _orbit_facts(sum(p), family).items() if special and all(map(ge, qs, sums))]
-    return _unique_extreme(cands, False, f"expansion of {p} in type {family}")
+    cands = [q for q, (qs, special) in facts.items() if special and all(map(ge, qs, sums))]
+    return _unique_extreme(cands, facts, False, f"expansion of {p} in type {family}")
 
 
 def restricted_transform_oracle(p, family: str) -> Partition:
@@ -130,19 +128,19 @@ def restricted_transform_oracle(p, family: str) -> Partition:
         raise DomainError(f"{p} is not of domino type")
     parity = FAMILY_PARITY[family]
     target = sum(p) + 1 if family == "B" else sum(p)
-    cands = _orbit_partitions_by_hollow(target, family).get(_hollow_key(p, parity))
+    facts, by_hollow = _orbit_table(target, family)
+    cands = by_hollow.get(_hollow_key(p, parity))
     if cands is None:
         raise IntegrityError(f"no type-{family} partition of {target} shares the {parity} boxes of {p}")
     if family == "B":
         reference = (p[0] + 1,) + p[1:] if p else (1,)
     else:
         reference = p
-    facts = _orbit_facts(target, family)
     sums = tuple(accumulate(reference))
     below = [q for q in cands if all(map(ge, sums, facts[q][0]))]
     context = f"restricted transform of {p} in type {family}"
     # the prefix sums of the restricted collapse, which the specials must dominate
-    lower = facts[_unique_extreme(below, True, context)][0] if below else None
+    lower = facts[_unique_extreme(below, facts, True, context)][0] if below else None
     specials = [
         q
         for q in cands
@@ -150,7 +148,7 @@ def restricted_transform_oracle(p, family: str) -> Partition:
     ]
     if not specials:
         raise IntegrityError(f"no special candidate above the restricted collapse: {context}")
-    return _unique_extreme(specials, False, context)
+    return _unique_extreme(specials, facts, False, context)
 
 
 def richardson_oracle(setup: ParabolicSetup) -> Partition:
@@ -163,7 +161,7 @@ def richardson_oracle(setup: ParabolicSetup) -> Partition:
     and 7.3).  A very even D partition names two orbits; this gives the
     partition only.
     """
-    family = setup.family
+    family = _as_setup(setup).family
     _check_orbit_family(family)
     tail, blocks = z_type(setup)
     p = (1,) * (2 * tail + (family == "B"))
@@ -276,7 +274,7 @@ def _dominant_weights(setup: ParabolicSetup, budget: EnumerationBudget) -> list[
 def socular_enumeration(setup: ParabolicSetup, budget: EnumerationBudget):
     """Maximum GK dimension over windowed integral p-dominant weights, with witnesses."""
     _check_budget(budget)
-    weights = _dominant_weights(setup, budget)
+    weights = _dominant_weights(_as_setup(setup), budget)
     gks = [gk_dimension(w, setup.family) for w in weights]
     best = max(gks, default=-1)
     return best, [w for w, g in zip(weights, gks) if g == best]
@@ -294,46 +292,47 @@ def _all_setups(family: str, max_n: int):
         yield from parabolic_setups(family, n)
 
 
+def _mismatches(name: str, fast, oracle, cases) -> list[str]:
+    """One line ``name args: fast != oracle slow`` for each case on which ``fast`` and ``oracle`` differ."""
+    failures = []
+    for args in cases:
+        got, want = fast(*args), oracle(*args)
+        if got != want:
+            failures.append(f"{name} {' '.join(map(str, args))}: {got} != oracle {want}")
+    return failures
+
+
 def check_collapse(budget: EnumerationBudget) -> list[str]:
     """Compare collapse against the oracle on all parity-compatible partitions."""
     _check_budget(budget)
-    failures = []
-    for total in range(budget.max_total + 1):
-        for p in partitions_of(total):
-            for family in ORBIT_FAMILIES:
-                if total % 2 != (1 if family == "B" else 0):
-                    continue
-                fast, slow = collapse(p, family), collapse_oracle(p, family)
-                if fast != slow:
-                    failures.append(f"collapse {p} {family}: {fast} != oracle {slow}")
-    return failures
+    cases = (
+        (p, family)
+        for total in range(budget.max_total + 1)
+        for p in partitions_of(total)
+        for family in ORBIT_FAMILIES
+        if total % 2 == (family == "B")
+    )
+    return _mismatches("collapse", collapse, collapse_oracle, cases)
 
 
 def check_richardson(budget: EnumerationBudget) -> list[str]:
     """Compare the Richardson partition against the induction oracle on every B/C/D setup up to ``max_n``."""
     _check_budget(budget)
-    failures = []
-    for family in ORBIT_FAMILIES:
-        for setup in _all_setups(family, budget.max_n):
-            fast, slow = richardson_partition(setup).partition, richardson_oracle(setup)
-            if fast != slow:
-                failures.append(f"richardson {setup}: {fast} != oracle {slow}")
-    return failures
+    cases = ((setup,) for family in ORBIT_FAMILIES for setup in _all_setups(family, budget.max_n))
+    return _mismatches("richardson", lambda setup: richardson_partition(setup).partition, richardson_oracle, cases)
 
 
 def check_halg(budget: EnumerationBudget) -> list[str]:
     """Compare the H-algorithm against the oracle on all domino-type partitions."""
     _check_budget(budget)
-    failures = []
-    for total in range(0, budget.max_total + 1, 2):
-        for p in partitions_of(total):
-            if not _is_domino_type(p):
-                continue
-            for family in ORBIT_FAMILIES:
-                fast, slow = h_algorithm(p, family), restricted_transform_oracle(p, family)
-                if fast != slow:
-                    failures.append(f"halg {p} {family}: {fast} != oracle {slow}")
-    return failures
+    cases = (
+        (p, family)
+        for total in range(0, budget.max_total + 1, 2)
+        for p in partitions_of(total)
+        if _is_domino_type(p)
+        for family in ORBIT_FAMILIES
+    )
+    return _mismatches("halg", h_algorithm, restricted_transform_oracle, cases)
 
 
 def check_socular(budget: EnumerationBudget, families=("A", "B", "C", "D")) -> list[str]:

@@ -14,6 +14,7 @@ from .hollow import FAMILY_PARITY, _hollow_key
 from .partitions import _transpose
 from .setups import (  # the constructors are re-exported for importers of this module
     ParabolicSetup,
+    _as_setup,
     dim_nilradical,
     parabolic_from_composition,
     parabolic_from_roots,
@@ -68,9 +69,9 @@ def _tail_dominant(nums: list[int], dens: list[int], setup: ParabolicSetup) -> b
 
 
 def _read(weight, setup: ParabolicSetup) -> tuple[list[int], list[int]]:
-    """:func:`integer_entries` of a weight whose length is checked against the rank."""
+    """:func:`integer_entries` of a weight whose length is checked against the rank of a checked setup."""
     nums, dens = integer_entries(weight)
-    if len(nums) != setup.n:
+    if len(nums) != _as_setup(setup).n:
         raise DomainError(f"weight length {len(nums)} != rank {setup.n}")
     return nums, dens
 

@@ -8,9 +8,9 @@ that shape with one box added at row 2*n_k + 1.
 
 from typing import NamedTuple
 
-from .errors import DomainError, IntegrityError
+from .errors import FAMILIES, DomainError, IntegrityError
 from .partitions import Partition, _collapse, _transpose, as_partition
-from .setups import FAMILIES, ParabolicSetup, z_type
+from .setups import ParabolicSetup, _as_setup, z_type
 from .zdiagram import z_diagram
 
 
@@ -21,7 +21,7 @@ class RichardsonResult(NamedTuple):
 
 
 def richardson_partition(setup: ParabolicSetup) -> RichardsonResult:
-    family = setup.family
+    family = _as_setup(setup).family
     comp = setup.normalized_composition
     if family == "A":
         part = _transpose(tuple(sorted(comp, reverse=True)))

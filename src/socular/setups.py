@@ -18,20 +18,7 @@ from itertools import accumulate
 from operator import sub
 from typing import NamedTuple
 
-from .errors import DomainError, as_tuple, is_int
-
-FAMILIES = ("A", "B", "C", "D")
-
-
-def check_family(family: str, n: int) -> None:
-    if family not in FAMILIES:
-        raise DomainError(f"family must be one of {FAMILIES}, got {family!r}")
-    if not is_int(n):
-        raise DomainError(f"rank must be an int, got {n!r}")
-    if n < 1:
-        raise DomainError("rank must be positive")
-    if family in ("A", "D") and n < 2:
-        raise DomainError(f"family {family} needs n >= 2, got n={n}")
+from .errors import DomainError, as_tuple, check_family, is_int
 
 
 class ParabolicSetup(NamedTuple):
@@ -40,6 +27,13 @@ class ParabolicSetup(NamedTuple):
     excluded: frozenset[int]
     composition: tuple[int, ...]
     normalized_composition: tuple[int, ...]
+
+
+def _as_setup(setup) -> ParabolicSetup:
+    """``setup``, refused as a :class:`DomainError` unless it is a :class:`ParabolicSetup`."""
+    if not isinstance(setup, ParabolicSetup):
+        raise DomainError(f"expected a ParabolicSetup, got {setup!r}")
+    return setup
 
 
 def _setup(family: str, n: int, excluded: frozenset[int], composition: tuple[int, ...]) -> ParabolicSetup:
@@ -85,13 +79,13 @@ def parabolic_from_composition(family: str, composition) -> ParabolicSetup:
 
 def z_type(setup: ParabolicSetup) -> tuple[int, tuple[int, ...]]:
     """The Z-diagram type (n_k; n_1,...,n_{k-1}) of the normalized composition."""
-    comp = setup.normalized_composition
+    comp = _as_setup(setup).normalized_composition
     return comp[-1], comp[:-1]
 
 
 def dim_nilradical(setup: ParabolicSetup) -> int:
     """dim(u) for the nilradical of the parabolic, via the Levi root count."""
-    n = setup.n
+    n = _as_setup(setup).n
     comp = setup.normalized_composition
     if setup.family == "A":
         return (n * n - sum(v * v for v in comp)) // 2

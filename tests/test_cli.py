@@ -650,6 +650,13 @@ def test_cli_import_leaves_out_what_its_subcommands_may_not_need():
         assert _fresh_modules(_after_run(argv), unused) == [], argv
 
 
+def test_gkdim_loads_no_parabolic_setup():
+    # the family rule lives in socular.errors, so a GK dimension needs no setup code
+    unused = ["socular.setups", "socular.parabolic", "socular.oracles"]
+    assert _fresh_modules(_after_run(["gkdim", "--family", "B", "--n", "4", "--weight", "-5,-6,-4,2"]), unused) == []
+    assert _fresh_modules("import socular; socular.gk_dimension((-5, -6, -4, 2), 'B')", unused) == []
+
+
 def _subcommands(parser) -> list[str]:
     (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
     return list(sub.choices)

@@ -21,9 +21,11 @@ from socular import (
     socular_enumeration,
 )
 from socular import gkdim, oracles, partitions, richardson
+from socular.hollow import FAMILY_PARITY, _hollow_key
 from socular.oracles import check_collapse, check_halg, check_richardson, check_socular, integral_weights
 from socular.parabolic import _p_dominant
 from socular.partitions import ORBIT_FAMILIES, _dominates, _is_orbit, _is_special, partitions_of
+from socular.richardson import RichardsonResult
 
 
 def test_collapse_oracle_fixed_points():
@@ -207,29 +209,29 @@ def test_orbit_partition_tables_are_the_filtered_partitions():
     for total in range(21):
         for family in ORBIT_FAMILIES:
             want = tuple(q for q in partitions_of(total) if _is_orbit(q, family))
-            assert oracles._orbit_partitions(total, family) == want, (total, family)
-            facts = oracles._orbit_facts(total, family)
+            facts, by_hollow = oracles._orbit_table(total, family)
             assert tuple(facts) == want, (total, family)
             for q in want:
                 assert facts[q] == (tuple(accumulate(q)), _is_special(q, family)), (q, family)
-    assert oracles._orbit_partitions.cache_info().maxsize is not None
-    assert oracles._orbit_facts.cache_info().maxsize is not None
+            parity = FAMILY_PARITY[family]
+            for key, group in by_hollow.items():
+                assert group == tuple(q for q in want if _hollow_key(q, parity) == key), (key, family)
+            assert sum(map(len, by_hollow.values())) == len(want)
+    assert oracles._orbit_table.cache_info().maxsize == oracles.ORBIT_TABLE_SIZE == 64
 
 
 def test_check_collapse_fills_each_fact_table_once():
-    oracles._orbit_partitions.cache_clear()
-    oracles._orbit_facts.cache_clear()
+    oracles._orbit_table.cache_clear()
     assert check_collapse(EnumerationBudget(max_total=14)) == []
-    facts, tables = oracles._orbit_facts.cache_info(), oracles._orbit_partitions.cache_info()
-    oracles._orbit_partitions.cache_clear()
-    oracles._orbit_facts.cache_clear()
+    tables = oracles._orbit_table.cache_info()
+    oracles._orbit_table.cache_clear()
     # odd totals in B, even totals in C and D
     pairs = sum(1 if total % 2 else 2 for total in range(15))
     assert pairs == 23
-    assert facts.misses == tables.misses == pairs
+    assert tables.misses == pairs
     # one table read per collapse_oracle call
     calls = sum((1 if total % 2 else 2) * len(list(partitions_of(total))) for total in range(15))
-    assert facts.hits + facts.misses == calls
+    assert tables.hits + tables.misses == calls
 
 
 def test_check_halg_enumerates_each_total_and_family_once(monkeypatch):
@@ -240,12 +242,10 @@ def test_check_halg_enumerates_each_total_and_family_once(monkeypatch):
         calls[n] += 1
         return real_partitions_of(n, *args)
 
-    oracles._orbit_partitions.cache_clear()
-    oracles._orbit_partitions_by_hollow.cache_clear()
+    oracles._orbit_table.cache_clear()
     monkeypatch.setattr(oracles, "partitions_of", counting_partitions_of)
     assert check_halg(EnumerationBudget(max_total=16)) == []
-    oracles._orbit_partitions.cache_clear()
-    oracles._orbit_partitions_by_hollow.cache_clear()
+    oracles._orbit_table.cache_clear()
     # the outer loop once per even total, then one table per (target total, family):
     # C and D at the total itself, B one box larger
     outer = Counter(range(0, 17, 2))
@@ -253,8 +253,31 @@ def test_check_halg_enumerates_each_total_and_family_once(monkeypatch):
     assert calls == outer + tables
 
 
-def _unique_extreme_all_pairs(cands, top, context):
-    """The extreme rule before the lexicographic-end one: try every candidate in turn."""
+# each check with its fast function replaced by one that answers (99,), and the first line it gives
+WRONG_FAST = {
+    "collapse": ("collapse", lambda p, family: (99,), check_collapse, "collapse () C: (99,) != oracle ()"),
+    "halg": ("h_algorithm", lambda p, family: (99,), check_halg, "halg () B: (99,) != oracle (1,)"),
+    "richardson": (
+        "richardson_partition",
+        lambda setup: RichardsonResult((99,), False, None),
+        check_richardson,
+        "richardson ParabolicSetup(family='B', n=1, excluded=frozenset(), composition=(1,), "
+        "normalized_composition=(1,)): (99,) != oracle (1, 1, 1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("check", WRONG_FAST)
+def test_a_wrong_fast_answer_gives_the_mismatch_line(monkeypatch, check):
+    name, wrong, run_check, first = WRONG_FAST[check]
+    monkeypatch.setattr(oracles, name, wrong)
+    failures = run_check(EnumerationBudget(max_total=4, max_n=2))
+    assert failures[0] == first
+    assert len(failures) > 1 and all(line.startswith(f"{check} ") for line in failures)
+
+
+def _unique_extreme_all_pairs(cands, facts, top, context):
+    """The extreme rule before the lexicographic-end one: try every candidate in turn, by its parts."""
     for q in cands:
         if all(_dominates(q, other) if top else _dominates(other, q) for other in cands):
             return q
@@ -262,9 +285,9 @@ def _unique_extreme_all_pairs(cands, top, context):
     raise IntegrityError(f"no unique dominance {extreme} among {len(cands)} candidates: {context}")
 
 
-def _outcome(rule, cands, top, context):
+def _outcome(rule, cands, facts, top, context):
     try:
-        return rule(cands, top, context)
+        return rule(cands, facts, top, context)
     except IntegrityError as exc:
         return f"IntegrityError: {exc}"
 
@@ -273,9 +296,9 @@ def test_lexicographic_end_rule_agrees_with_all_pairs(monkeypatch):
     seen = []
     real = oracles._unique_extreme
 
-    def recording(cands, top, context):
-        seen.append((list(cands), top, context))
-        return real(cands, top, context)
+    def recording(cands, facts, top, context):
+        seen.append((list(cands), facts, top, context))
+        return real(cands, facts, top, context)
 
     monkeypatch.setattr(oracles, "_unique_extreme", recording)
     for total in range(17):
@@ -288,19 +311,20 @@ def test_lexicographic_end_rule_agrees_with_all_pairs(monkeypatch):
                 if is_domino_type(p):
                     restricted_transform_oracle(p, family)
     assert len(seen) > 3000
-    for cands, top, context in seen:
-        want = _outcome(_unique_extreme_all_pairs, cands, top, context)
-        assert _outcome(real, cands, top, context) == want, (cands, top, context)
+    for cands, facts, top, context in seen:
+        want = _outcome(_unique_extreme_all_pairs, cands, facts, top, context)
+        assert _outcome(real, cands, facts, top, context) == want, (cands, top, context)
 
 
 @pytest.mark.parametrize("top, extreme", [(True, "maximum"), (False, "minimum")])
 def test_incomparable_candidates_have_no_extreme(top, extreme):
     cands = [(3, 1, 1, 1), (2, 2, 2)]
+    facts = {q: (tuple(accumulate(q)), False) for q in cands}
     message = f"^no unique dominance {extreme} among 2 candidates: a test$"
     with pytest.raises(IntegrityError, match=message):
-        _unique_extreme_all_pairs(cands, top, "a test")
+        _unique_extreme_all_pairs(cands, facts, top, "a test")
     with pytest.raises(IntegrityError, match=message):
-        oracles._unique_extreme(cands, top, "a test")
+        oracles._unique_extreme(cands, facts, top, "a test")
 
 
 def test_richardson_oracle_matches_richardson_partition_to_rank_8():

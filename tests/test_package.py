@@ -27,10 +27,11 @@ from socular import (
     rs_shape,
     z_diagram,
 )
+from socular.errors import check_family
 from socular.hollow import f_stat_column_form
 from socular.oracles import check_collapse
 from socular.partitions import as_partition
-from socular.setups import check_family
+from socular.setups import z_type
 from socular.weights import parse_rational
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -160,12 +161,8 @@ def test_every_library_cache_is_bounded():
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
                 sizes[f"{info.name}.{name}"] = obj.cache_info().maxsize
-    assert {
-        "tableaux.rs_shape",
-        "oracles._orbit_partitions",
-        "oracles._orbit_partitions_by_hollow",
-        "oracles._orbit_facts",
-    } <= set(sizes)
+    # exactly these: a second table beside one of them is a forked cache
+    assert set(sizes) == {"tableaux.rs_shape", "oracles._orbit_table"}
     assert all(size is not None for size in sizes.values()), sizes
     assert not [name for name in sizes if name.startswith("hollow.")]
 
@@ -300,6 +297,24 @@ NOT_A_SEQUENCE = {
 def test_every_public_boundary_refuses_a_non_sequence_as_bad_input(name):
     with pytest.raises(DomainError):
         NOT_A_SEQUENCE[name]()
+
+
+# every entry point that reads a parabolic setup, called with the non-setup 5 in that place
+NOT_A_SETUP = {
+    "richardson_partition": lambda: socular.richardson_partition(5),
+    "dim_nilradical": lambda: socular.dim_nilradical(5),
+    "z_type": lambda: z_type(5),
+    "is_p_dominant": lambda: socular.is_p_dominant((2, 1, 1, 1), 5),
+    "is_socular": lambda: socular.is_socular((2, 1, 1, 1), 5),
+    "richardson_oracle": lambda: socular.richardson_oracle(5),
+    "socular_enumeration": lambda: socular.socular_enumeration(5, EnumerationBudget()),
+}
+
+
+@pytest.mark.parametrize("name", NOT_A_SETUP)
+def test_every_setup_boundary_refuses_a_non_setup_as_bad_input(name):
+    with pytest.raises(DomainError, match=r"^expected a ParabolicSetup, got 5$"):
+        NOT_A_SETUP[name]()
 
 
 class _Two(IntEnum):

@@ -10,7 +10,7 @@ from socular import (
     restricted_transform_oracle,
 )
 from socular.hollow import FAMILY_PARITY, _hollow_key
-from socular.oracles import _orbit_partitions_by_hollow
+from socular.oracles import _orbit_table
 from socular.partitions import as_partition
 
 from helpers import all_partitions, tiling_domino_oracle
@@ -109,7 +109,7 @@ def test_h_algorithm_output_is_the_only_special_partition_with_its_hollow_shape(
             continue
         for family in ("B", "C", "D"):
             target = sum(p) + 1 if family == "B" else sum(p)
-            cands = _orbit_partitions_by_hollow(target, family)[_hollow_key(p, FAMILY_PARITY[family])]
+            cands = _orbit_table(target, family)[1][_hollow_key(p, FAMILY_PARITY[family])]
             assert [q for q in cands if is_special(q, family)] == [h_algorithm(p, family)], (p, family)
             cases += 1
     assert cases == 3645
