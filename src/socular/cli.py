@@ -27,6 +27,14 @@ class _UsageError(Exception):
     pass
 
 
+class _RefusedValue(Exception):
+    """A well-formed option value that the library refuses: a domain error, not a usage error.
+
+    argparse reports any ``ValueError`` of a type function, :class:`DomainError`
+    too, as a usage error, so the refusal leaves the parser as this instead.
+    """
+
+
 class _Mismatches(Exception):
     """An oracle check found mismatches; the message is the summary line for stdout."""
 
@@ -52,6 +60,10 @@ def _weight(text: str):
     try:
         return socular.parse_weight(text)
     except socular.DomainError as exc:
+        from .weights import _DigitLimit
+
+        if isinstance(exc, _DigitLimit):
+            raise _RefusedValue(exc) from None
         raise argparse.ArgumentTypeError(str(exc))
 
 
@@ -262,15 +274,14 @@ def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parser_for(argv).parse_args(argv)
+        out = args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    try:
-        out = args.handler(args)
     except _Mismatches as exc:
         print(exc)
         return INTEGRITY_ERROR
-    except socular.DomainError as exc:
+    except (socular.DomainError, _RefusedValue) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
     except socular.IntegrityError as exc:

@@ -10,21 +10,27 @@ Each oracle validates its argument once; the partitions it enumerates come from
 unchecked kernels of :mod:`socular.partitions` and :mod:`socular.hollow`.
 
 A sweep enumerates each candidate set once: the orbit partitions of a total
-are one cached table, built in one pass, that holds each one's prefix sums and
-specialness and groups them by hollow key, the p-dominant weights of a window
-are generated block by block instead of filtered out of the whole window, and
-``check_socular`` computes GK dimension and the criterion's candidate once per
-weight of a rank, not once per setup.  The fast-against-oracle checks share one
-runner, :func:`_mismatches`, each feeding it a generator of cases.
+are one cached table, built in one pass, that holds dominance as a bit
+relation.  Bit i stands for the i-th orbit partition in :func:`partitions_of`
+order, and for each prefix position j and value v the table holds the mask of
+the partitions whose j-th prefix sum is at most v, next to one mask of the
+special partitions and one per hollow key.  An oracle gets its candidates by
+ANDing about ``len(p)`` masks, not by comparing ``p`` with every orbit
+partition; every orbit partition is still a candidate.  The p-dominant weights
+of a window are generated block by block instead of filtered out of the whole
+window, and ``check_socular`` computes GK dimension and the criterion's
+candidate once per weight of a rank, not once per setup.  The
+fast-against-oracle checks share one runner, :func:`_mismatches`, each feeding
+it a generator of cases.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, chain, combinations, product
-from operator import ge
+from operator import and_, getitem, or_
 from typing import NamedTuple
 
-from .errors import DomainError, IntegrityError, check_family, is_int
+from .errors import DomainError, IntegrityError, as_tuple, check_family, is_int
 from .gkdim import gk_dimension
 from .hollow import FAMILY_PARITY, _hollow_key, f_stat
 from .parabolic import _integral_candidate, _integral_target, _tail_dominant
@@ -47,6 +53,9 @@ from .transforms import _is_domino_type, h_algorithm
 
 # three families times the totals one sweep reaches, with room to spare
 ORBIT_TABLE_SIZE = 64
+_ONE = ord("1")
+_LESS_ONE = (-1).__add__
+_RESTRICTED = "restricted transform"
 
 
 class EnumerationBudget(NamedTuple):
@@ -55,62 +64,112 @@ class EnumerationBudget(NamedTuple):
     max_n: int = 3
 
 
-def _unique_extreme(cands: list[Partition], facts: dict, top: bool, context: str) -> Partition:
+class _OrbitTable(NamedTuple):
+    """The type-``family`` orbit partitions of one total, and their relations as bit masks.
+
+    Bit i of every mask stands for ``parts[i]``, the i-th orbit partition in
+    :func:`partitions_of` order.  ``le[j][v]`` holds the partitions whose
+    (j+1)-th prefix sum is at most ``v``, a partition's prefix sums past its
+    last part being the total; ``special`` holds the special partitions and
+    ``by_hollow`` maps each hollow key in the family's parity to the
+    partitions that have it.
+    """
+
+    parts: tuple[Partition, ...]
+    everything: int
+    le: tuple[tuple[int, ...], ...]
+    special: int
+    by_hollow: dict[tuple[int, ...], int]
+
+
+def _dominated(table: _OrbitTable, q: Partition) -> int:
+    """The table's partitions that ``q``, a partition of its total, dominates.
+
+    For equal totals dominance is prefix sums alone, and past its last part
+    every partition's sum is the total, so one mask per part of ``q`` decides.
+    """
+    return reduce(and_, map(getitem, table.le, accumulate(q)), table.everything)
+
+
+def _dominating(table: _OrbitTable, q: Partition) -> int:
+    """The table's partitions that dominate ``q``, a partition of its total: none of their prefix sums is below."""
+    if not q:
+        return table.everything
+    # each prefix sum of q less one
+    return table.everything ^ reduce(or_, map(getitem, table.le, accumulate(q[1:], initial=q[0] - 1)), 0)
+
+
+def _unique_extreme(cands: int, table: _OrbitTable, top: bool, search: str, p, family: str) -> Partition:
     """The candidate that dominates every other (``top``) or that every other dominates.
 
-    The candidates come in descending lexicographic order, which dominance
-    refines, so only the first can be a maximum and only the last a minimum:
-    that one is compared with every candidate, by the prefix sums in ``facts``.
+    ``cands`` is a mask of ``table``.  Its bits run in descending
+    lexicographic order, which dominance refines, so only the lowest set bit
+    can be a maximum and only the highest a minimum: that one is the extreme
+    when the whole mask lies inside its own relation, as a lone candidate does.
+    The error names the search as ``<search> of <p> in type <family>``, a
+    text built only when it is raised.
     """
     if cands:
-        end = cands[0] if top else cands[-1]
-        sums = facts[end][0]
-        if top:
-            unique = all(all(map(ge, sums, facts[q][0])) for q in cands)
-        else:
-            unique = all(all(map(ge, facts[q][0], sums)) for q in cands)
-        if unique:
+        end = table.parts[(cands & -cands if top else cands).bit_length() - 1]
+        if not cands & (cands - 1):
+            return end
+        relation = (_dominated if top else _dominating)(table, end)
+        if not cands & ~relation:
             return end
     extreme = "maximum" if top else "minimum"
-    raise IntegrityError(f"no unique dominance {extreme} among {len(cands)} candidates: {context}")
+    raise IntegrityError(
+        f"no unique dominance {extreme} among {cands.bit_count()} candidates: {search} of {p} in type {family}"
+    )
+
+
+def _mask(digits: bytearray) -> int:
+    """The int whose base-2 digits are ``digits``, most significant first; no digits is 0."""
+    return int(digits or b"0", 2)
 
 
 @lru_cache(maxsize=ORBIT_TABLE_SIZE)
-def _orbit_table(total: int, family: str):
-    """Every type-``family`` orbit partition of ``total``, in :func:`partitions_of` order, as two views.
+def _orbit_table(total: int, family: str) -> _OrbitTable:
+    """Every type-``family`` orbit partition of ``total`` and its relations, as an ``_OrbitTable``.
 
-    ``facts`` maps each to its prefix sums and whether it is special;
-    ``by_hollow`` maps each hollow key in the family's parity to the
-    partitions that have it, in order.  Two partitions of one total compare by
-    their prefix sums alone: the sums past the shorter one cannot fail, so
-    ``all(map(ge, ...))`` is dominance.
+    One pass over the partitions fills a base-2 digit string per mask: a
+    position's strings bucket the partitions by their prefix sum there, and
+    ``accumulate(..., or_)`` over the bucket masks gives that position's
+    ``le``.  A partition's last prefix sum is the total, which every one
+    reaches, so ``le[j][total]`` is the whole table and needs no bucket.
     """
+    parts = tuple(q for q in partitions_of(total) if _is_orbit(q, family))
+    size = len(parts)
     parity = FAMILY_PARITY[family]
-    facts: dict[Partition, tuple[tuple[int, ...], bool]] = {}
-    groups: dict[tuple[int, ...], list[Partition]] = {}
-    for q in partitions_of(total):
-        if _is_orbit(q, family):
-            facts[q] = (tuple(accumulate(q)), _is_special(q, family))
-            groups.setdefault(_hollow_key(q, parity), []).append(q)
-    return facts, {key: tuple(group) for key, group in groups.items()}
+    # digit size - 1 - i of each string is bit i of its mask; the (j+1)-th
+    # prefix sum is at least j + 1, so position j buckets the sums above j
+    # by their excess, the prefix sum of the parts less one
+    buckets = [[bytearray(b"0") * size for _ in range(total - 1 - j)] for j in range(total)]
+    special = bytearray(b"0") * size
+    by_hollow: dict[tuple[int, ...], bytearray] = {}
+    for digit, q in zip(range(size - 1, -1, -1), parts):
+        for row, excess in zip(buckets, accumulate(map(_LESS_ONE, q[:-1]))):
+            row[excess][digit] = _ONE
+        if _is_special(q, family):
+            special[digit] = _ONE
+        by_hollow.setdefault(_hollow_key(q, parity), bytearray(b"0") * size)[digit] = _ONE
+    everything = (1 << size) - 1
+    le = tuple((0,) * (j + 1) + (*accumulate(map(_mask, row), or_), everything) for j, row in enumerate(buckets))
+    return _OrbitTable(parts, everything, le, _mask(special), {key: _mask(d) for key, d in by_hollow.items()})
 
 
 def collapse_oracle(p, family: str) -> Partition:
     """Dominance-maximum type-``family`` partition below ``p``, by full enumeration."""
     p = _collapse_input(p, family)
-    facts, _ = _orbit_table(sum(p), family)
-    sums = tuple(accumulate(p))
-    cands = [q for q, (qs, _) in facts.items() if all(map(ge, sums, qs))]
-    return _unique_extreme(cands, facts, True, f"collapse of {p} in type {family}")
+    table = _orbit_table(sum(p), family)
+    return _unique_extreme(_dominated(table, p), table, True, "collapse", p, family)
 
 
 def expand_oracle(p, family: str) -> Partition:
     """Dominance-minimum special type-``family`` partition above ``p``, by full enumeration."""
     p = _orbit_input(p, family)
-    facts, _ = _orbit_table(sum(p), family)
-    sums = tuple(accumulate(p))
-    cands = [q for q, (qs, special) in facts.items() if special and all(map(ge, qs, sums))]
-    return _unique_extreme(cands, facts, False, f"expansion of {p} in type {family}")
+    table = _orbit_table(sum(p), family)
+    cands = table.special & _dominating(table, p)
+    return _unique_extreme(cands, table, False, "expansion", p, family)
 
 
 def restricted_transform_oracle(p, family: str) -> Partition:
@@ -128,27 +187,24 @@ def restricted_transform_oracle(p, family: str) -> Partition:
         raise DomainError(f"{p} is not of domino type")
     parity = FAMILY_PARITY[family]
     target = sum(p) + 1 if family == "B" else sum(p)
-    facts, by_hollow = _orbit_table(target, family)
-    cands = by_hollow.get(_hollow_key(p, parity))
+    table = _orbit_table(target, family)
+    cands = table.by_hollow.get(_hollow_key(p, parity))
     if cands is None:
         raise IntegrityError(f"no type-{family} partition of {target} shares the {parity} boxes of {p}")
     if family == "B":
         reference = (p[0] + 1,) + p[1:] if p else (1,)
     else:
         reference = p
-    sums = tuple(accumulate(reference))
-    below = [q for q in cands if all(map(ge, sums, facts[q][0]))]
-    context = f"restricted transform of {p} in type {family}"
-    # the prefix sums of the restricted collapse, which the specials must dominate
-    lower = facts[_unique_extreme(below, facts, True, context)][0] if below else None
-    specials = [
-        q
-        for q in cands
-        if facts[q][1] and (lower is None or all(map(ge, facts[q][0], lower)))
-    ]
+    specials = cands & table.special
+    below = cands & _dominated(table, reference)
+    if below:
+        # the specials must dominate the restricted collapse
+        specials &= _dominating(table, _unique_extreme(below, table, True, _RESTRICTED, p, family))
     if not specials:
-        raise IntegrityError(f"no special candidate above the restricted collapse: {context}")
-    return _unique_extreme(specials, facts, False, context)
+        raise IntegrityError(
+            f"no special candidate above the restricted collapse: {_RESTRICTED} of {p} in type {family}"
+        )
+    return _unique_extreme(specials, table, False, _RESTRICTED, p, family)
 
 
 def richardson_oracle(setup: ParabolicSetup) -> Partition:
@@ -346,6 +402,7 @@ def check_socular(budget: EnumerationBudget, families=("A", "B", "C", "D")) -> l
     which no setup compares anything raises ``DomainError``.
     """
     _check_budget(budget)
+    families = as_tuple(families, "families must be a sequence of family names")
     failures = []
     compared = 0
     for family in families:
@@ -377,7 +434,7 @@ def check_socular(budget: EnumerationBudget, families=("A", "B", "C", "D")) -> l
                     )
     if not compared:
         raise DomainError(
-            f"nothing to compare: no setup of families {tuple(families)} up to rank {budget.max_n} "
+            f"nothing to compare: no setup of families {families} up to rank {budget.max_n} "
             f"has a p-dominant weight in the window {budget.entry_window}"
         )
     return failures

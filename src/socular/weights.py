@@ -7,6 +7,7 @@ criteria are exact equalities.
 """
 
 import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -27,13 +28,27 @@ def _entry(text: str) -> Fraction:
     return Fraction(int(num), int(den))
 
 
+class _DigitLimit(DomainError):
+    """A well-formed entry with an integer past the interpreter's int conversion limit.
+
+    That limit is the one ``ValueError`` that ``int()`` raises on an entry
+    that matches ``_ENTRY``.
+    """
+
+    def __init__(self):
+        super().__init__(f"an entry has more than {sys.get_int_max_str_digits()} digits, the int conversion limit")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse one entry: ``a``, ``-a`` or ``a/b`` with b > 0.  No decimals."""
     if not isinstance(text, str):
         raise DomainError(f"a rational literal must be text, got {text!r}")
     if not _ENTRY_RE.fullmatch(text):
         raise DomainError(f"not a rational literal: {text.strip()!r}")
-    return _entry(text)
+    try:
+        return _entry(text)
+    except ValueError:
+        raise _DigitLimit() from None
 
 
 def parse_weight(text: str) -> Weight:
@@ -46,7 +61,10 @@ def parse_weight(text: str) -> Weight:
     if not _WEIGHT_RE.fullmatch(text):
         for tok in toks:
             parse_rational(tok)  # raises on the first bad entry
-    return tuple(map(_entry, toks))
+    try:
+        return tuple(map(_entry, toks))
+    except ValueError:
+        raise _DigitLimit() from None
 
 
 def format_weight(weight) -> str:

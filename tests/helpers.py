@@ -183,3 +183,8 @@ def levi_positive_root_count(family: str, n: int, excluded) -> int:
         if support.isdisjoint(excluded):
             count += 1
     return count
+
+
+def mask_members(table, mask: int) -> list:
+    """The partitions of an oracle orbit table whose bits ``mask`` sets, in the table's order."""
+    return [q for i, q in enumerate(table.parts) if mask >> i & 1]

@@ -354,6 +354,11 @@ CONTRACT = [
     ),
     ('gkdim --family B --n 3 --weight 1,2', 2, '', 'domain error: weight has 2 entries, --n is 3\n'),
     ('gkdim --family A --n 0 --weight 1', 2, '', 'domain error: weight has 1 entries, --n is 0\n'),
+    # a well-formed weight whose entry int() refuses: more digits than the conversion limit
+    (
+        'gkdim --family A --n 2 --weight=1,' + '1' * 5000,
+        2, '', 'domain error: an entry has more than 4300 digits, the int conversion limit\n',
+    ),
     ('collapse --partition 3,5 --family C', 2, '', 'domain error: partition parts must be weakly decreasing: (3, 5)\n'),
     ('collapse --partition 3,2 --family B', 0, '3,1,1\n', ''),
     (
@@ -556,7 +561,12 @@ options:
 
 
 
-@pytest.mark.parametrize("argv, code, out, err", CONTRACT, ids=[argv or "<none>" for argv, *_ in CONTRACT])
+def _argv_id(argv: str) -> str:
+    """The test id of an argv: the argv itself, cut short when it is long."""
+    return argv if len(argv) <= 80 else f"{argv[:60]}...<{len(argv)} chars>"
+
+
+@pytest.mark.parametrize("argv, code, out, err", CONTRACT, ids=[_argv_id(argv) or "<none>" for argv, *_ in CONTRACT])
 def test_cli_contract(capsys, argv, code, out, err):
     assert (run(argv.split()), *capsys.readouterr()) == (code, out, err)
 
@@ -670,7 +680,7 @@ def test_a_call_without_a_leading_subcommand_takes_the_full_parser(argv):
 ONE_SUBCOMMAND = [argv for argv, *_ in CONTRACT if argv.split()[:1] and argv.split()[0] in cli.COMMANDS]
 
 
-@pytest.mark.parametrize("argv", ONE_SUBCOMMAND)
+@pytest.mark.parametrize("argv", ONE_SUBCOMMAND, ids=_argv_id)
 def test_one_subparser_parses_like_the_full_parser(capsys, monkeypatch, argv):
     argv = argv.split()
     assert _subcommands(cli._parser_for(argv)) == [argv[0]]

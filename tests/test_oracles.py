@@ -1,5 +1,6 @@
 from collections import Counter
 from itertools import accumulate
+from operator import ge
 
 import pytest
 
@@ -26,6 +27,8 @@ from socular.oracles import check_collapse, check_halg, check_richardson, check_
 from socular.parabolic import _p_dominant
 from socular.partitions import ORBIT_FAMILIES, _dominates, _is_orbit, _is_special, partitions_of
 from socular.richardson import RichardsonResult
+
+from helpers import mask_members
 
 
 def test_collapse_oracle_fixed_points():
@@ -205,19 +208,43 @@ def test_dominant_weights_are_the_filtered_window_in_order(window):
         assert oracles._dominant_weights(parabolic_from_composition("B", (3,)), budget) == []
 
 
+def _prefix_sum(q, j: int) -> int:
+    """The (j+1)-th prefix sum of ``q``, the total past its last part."""
+    return sum(q[: j + 1])
+
+
 def test_orbit_partition_tables_are_the_filtered_partitions():
     for total in range(21):
         for family in ORBIT_FAMILIES:
             want = tuple(q for q in partitions_of(total) if _is_orbit(q, family))
-            facts, by_hollow = oracles._orbit_table(total, family)
-            assert tuple(facts) == want, (total, family)
-            for q in want:
-                assert facts[q] == (tuple(accumulate(q)), _is_special(q, family)), (q, family)
+            table = oracles._orbit_table(total, family)
+            assert table.parts == want, (total, family)
+            assert table.everything == (1 << len(want)) - 1
+            assert mask_members(table, table.special) == [q for q in want if _is_special(q, family)], (total, family)
             parity = FAMILY_PARITY[family]
-            for key, group in by_hollow.items():
-                assert group == tuple(q for q in want if _hollow_key(q, parity) == key), (key, family)
-            assert sum(map(len, by_hollow.values())) == len(want)
+            for key, mask in table.by_hollow.items():
+                assert mask_members(table, mask) == [q for q in want if _hollow_key(q, parity) == key], (key, family)
+            assert sum(mask.bit_count() for mask in table.by_hollow.values()) == len(want)
+            # le[j][v] holds the partitions whose (j+1)-th prefix sum is at most v
+            assert [len(row) for row in table.le] == [total + 1] * total
+            for j, row in enumerate(table.le):
+                for v, mask in enumerate(row):
+                    assert mask_members(table, mask) == [q for q in want if _prefix_sum(q, j) <= v], (j, v, family)
     assert oracles._orbit_table.cache_info().maxsize == oracles.ORBIT_TABLE_SIZE == 64
+
+
+def test_bit_relations_are_dominance():
+    pairs = 0
+    for total in range(21):
+        for family in ORBIT_FAMILIES:
+            table = oracles._orbit_table(total, family)
+            for q in table.parts:
+                below, above = oracles._dominated(table, q), oracles._dominating(table, q)
+                for i, r in enumerate(table.parts):
+                    assert bool(below >> i & 1) == all(map(ge, accumulate(q), accumulate(r))), (q, r, family)
+                    assert bool(above >> i & 1) == all(map(ge, accumulate(r), accumulate(q))), (q, r, family)
+                pairs += len(table.parts)
+    assert pairs == 168_190
 
 
 def test_check_collapse_fills_each_fact_table_once():
@@ -276,7 +303,7 @@ def test_a_wrong_fast_answer_gives_the_mismatch_line(monkeypatch, check):
     assert len(failures) > 1 and all(line.startswith(f"{check} ") for line in failures)
 
 
-def _unique_extreme_all_pairs(cands, facts, top, context):
+def _unique_extreme_all_pairs(cands, top, context):
     """The extreme rule before the lexicographic-end one: try every candidate in turn, by its parts."""
     for q in cands:
         if all(_dominates(q, other) if top else _dominates(other, q) for other in cands):
@@ -285,9 +312,9 @@ def _unique_extreme_all_pairs(cands, facts, top, context):
     raise IntegrityError(f"no unique dominance {extreme} among {len(cands)} candidates: {context}")
 
 
-def _outcome(rule, cands, facts, top, context):
+def _outcome(rule, *args):
     try:
-        return rule(cands, facts, top, context)
+        return rule(*args)
     except IntegrityError as exc:
         return f"IntegrityError: {exc}"
 
@@ -296,9 +323,9 @@ def test_lexicographic_end_rule_agrees_with_all_pairs(monkeypatch):
     seen = []
     real = oracles._unique_extreme
 
-    def recording(cands, facts, top, context):
-        seen.append((list(cands), facts, top, context))
-        return real(cands, facts, top, context)
+    def recording(cands, table, top, search, p, family):
+        seen.append((cands, table, top, search, p, family))
+        return real(cands, table, top, search, p, family)
 
     monkeypatch.setattr(oracles, "_unique_extreme", recording)
     for total in range(17):
@@ -311,20 +338,24 @@ def test_lexicographic_end_rule_agrees_with_all_pairs(monkeypatch):
                 if is_domino_type(p):
                     restricted_transform_oracle(p, family)
     assert len(seen) > 3000
-    for cands, facts, top, context in seen:
-        want = _outcome(_unique_extreme_all_pairs, cands, facts, top, context)
-        assert _outcome(real, cands, facts, top, context) == want, (cands, top, context)
+    assert sum(cands.bit_count() > 1 for cands, *_ in seen) > 1000
+    for cands, table, top, search, p, family in seen:
+        context = f"{search} of {p} in type {family}"
+        want = _outcome(_unique_extreme_all_pairs, mask_members(table, cands), top, context)
+        assert _outcome(real, cands, table, top, search, p, family) == want, (cands, top, context)
 
 
 @pytest.mark.parametrize("top, extreme", [(True, "maximum"), (False, "minimum")])
 def test_incomparable_candidates_have_no_extreme(top, extreme):
-    cands = [(3, 1, 1, 1), (2, 2, 2)]
-    facts = {q: (tuple(accumulate(q)), False) for q in cands}
-    message = f"^no unique dominance {extreme} among 2 candidates: a test$"
+    table = oracles._orbit_table(6, "C")
+    cands = [(4, 1, 1), (3, 3)]
+    mask = sum(1 << table.parts.index(q) for q in cands)
+    assert mask_members(table, mask) == cands
+    message = f"^no unique dominance {extreme} among 2 candidates: a test of \\(6,\\) in type C$"
     with pytest.raises(IntegrityError, match=message):
-        _unique_extreme_all_pairs(cands, facts, top, "a test")
+        _unique_extreme_all_pairs(cands, top, "a test of (6,) in type C")
     with pytest.raises(IntegrityError, match=message):
-        oracles._unique_extreme(cands, facts, top, "a test")
+        oracles._unique_extreme(mask, table, top, "a test", (6,), "C")
 
 
 def test_richardson_oracle_matches_richardson_partition_to_rank_8():

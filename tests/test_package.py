@@ -29,7 +29,7 @@ from socular import (
 )
 from socular.errors import check_family
 from socular.hollow import f_stat_column_form
-from socular.oracles import check_collapse
+from socular.oracles import check_collapse, check_socular
 from socular.partitions import as_partition
 from socular.setups import z_type
 from socular.weights import parse_rational
@@ -290,6 +290,7 @@ NOT_A_SEQUENCE = {
     "is_socular": lambda: socular.is_socular(5, _setup()),
     "parabolic_from_composition": lambda: socular.parabolic_from_composition("B", 5),
     "parabolic_from_roots": lambda: socular.parabolic_from_roots("B", 3, 5),
+    "check_socular": lambda: check_socular(EnumerationBudget(), families=5),
 }
 
 

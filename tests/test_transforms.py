@@ -13,7 +13,7 @@ from socular.hollow import FAMILY_PARITY, _hollow_key
 from socular.oracles import _orbit_table
 from socular.partitions import as_partition
 
-from helpers import all_partitions, tiling_domino_oracle
+from helpers import all_partitions, mask_members, tiling_domino_oracle
 
 
 def test_domino_type_paper_example():
@@ -109,7 +109,8 @@ def test_h_algorithm_output_is_the_only_special_partition_with_its_hollow_shape(
             continue
         for family in ("B", "C", "D"):
             target = sum(p) + 1 if family == "B" else sum(p)
-            cands = _orbit_table(target, family)[1][_hollow_key(p, FAMILY_PARITY[family])]
+            table = _orbit_table(target, family)
+            cands = mask_members(table, table.by_hollow[_hollow_key(p, FAMILY_PARITY[family])])
             assert [q for q in cands if is_special(q, family)] == [h_algorithm(p, family)], (p, family)
             cases += 1
     assert cases == 3645

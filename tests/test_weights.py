@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 from itertools import product
 
@@ -124,6 +125,19 @@ def test_parse_weight():
 def test_parse_weight_rejects(bad):
     with pytest.raises(DomainError):
         parse_weight(bad)
+
+
+# well-formed entries with an integer past the interpreter's int conversion limit
+TOO_MANY_DIGITS = ["1" * 5000, "1/" + "3" * 5000, "-" + "9" * 4301]
+
+
+@pytest.mark.parametrize("entry", TOO_MANY_DIGITS, ids=len)
+def test_an_entry_past_the_digit_limit_is_bad_input(entry):
+    message = f"^an entry has more than {sys.get_int_max_str_digits()} digits, the int conversion limit$"
+    with pytest.raises(DomainError, match=message):
+        parse_rational(entry)
+    with pytest.raises(DomainError, match=message):
+        parse_weight(f"1,{entry},2")
 
 
 def test_parse_rational_lowest_terms():
