@@ -1,8 +1,9 @@
 """Command-line front-end.
 
-Each subcommand is declared once, in :data:`COMMANDS`, with its options and
-its handler.  A handler returns its result, a dict under ``--json`` and
-text otherwise, and :func:`run` is the one place that prints it.
+Each option is declared once, in :data:`OPTIONS`, and each subcommand once,
+in :data:`COMMANDS`, with its flags and its handler.  A handler returns its
+result, a dict under ``--json`` and text otherwise, and :func:`run` is the
+one place that prints it.
 
 Exit codes: 0 success, 1 usage error, 2 domain error (bad weight, invalid
 composition, weight not p-dominant, ...), 3 internal integrity error.
@@ -15,6 +16,7 @@ from functools import partial
 
 import socular
 
+from .errors import FAMILIES, DomainError, IntegrityError, _DigitLimit, read_int
 from .partitions import format_partition
 
 USAGE_ERROR, DOMAIN_ERROR, INTEGRITY_ERROR = 1, 2, 3
@@ -49,22 +51,33 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _csv_ints(text: str) -> list[int]:
-    try:
-        return [int(tok.strip()) for tok in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+def _option_type(parse, name: str):
+    """``parse`` as an argparse type named ``name``: a value past the int conversion limit is
+    refused (exit 2), any other :class:`DomainError` is a usage error with its message."""
 
-
-def _weight(text: str):
-    try:
-        return socular.parse_weight(text)
-    except socular.DomainError as exc:
-        from .weights import _DigitLimit
-
-        if isinstance(exc, _DigitLimit):
+    def read(text: str):
+        try:
+            return parse(text)
+        except _DigitLimit as exc:
             raise _RefusedValue(exc) from None
-        raise argparse.ArgumentTypeError(str(exc))
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    read.__name__ = name
+    return read
+
+
+def _int_list(text: str) -> list[int]:
+    try:
+        return list(map(read_int, text.split(",")))
+    except _DigitLimit:
+        raise
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+_INT = _option_type(read_int, "int")
+_INTS = _option_type(_int_list, "int list")
 
 
 def _cells(hollow_set) -> list[list[int]]:
@@ -73,15 +86,15 @@ def _cells(hollow_set) -> list[list[int]]:
 
 def _setup_from_args(args):
     if args.parabolic is not None and args.excluded is not None:
-        raise socular.DomainError("give either --parabolic or --excluded, not both")
+        raise DomainError("give either --parabolic or --excluded, not both")
     if args.parabolic is not None:
         setup = socular.parabolic_from_composition(args.family, tuple(args.parabolic))
         if setup.n != args.n:
-            raise socular.DomainError(f"composition sums to {setup.n}, but --n is {args.n}")
+            raise DomainError(f"composition sums to {setup.n}, but --n is {args.n}")
         return setup
     if args.excluded is not None:
         return socular.parabolic_from_roots(args.family, args.n, set(args.excluded))
-    raise socular.DomainError("one of --parabolic or --excluded is required")
+    raise DomainError("one of --parabolic or --excluded is required")
 
 
 def _cmd_tableau(args) -> dict | str:
@@ -94,7 +107,7 @@ def _cmd_tableau(args) -> dict | str:
 
 def _cmd_gkdim(args) -> dict | str:
     if len(args.weight) != args.n:
-        raise socular.DomainError(f"weight has {len(args.weight)} entries, --n is {args.n}")
+        raise DomainError(f"weight has {len(args.weight)} entries, --n is {args.n}")
     if args.json:
         return socular.gk_breakdown(args.weight, args.family)
     return str(socular.gk_dimension(args.weight, args.family))
@@ -172,10 +185,14 @@ def _cmd_partition_op(args, op: str) -> dict | str:
 def _cmd_oracle(args) -> str:
     from . import oracles
 
-    if args.window < 0:
-        raise socular.DomainError(f"--window must be at least 0, got {args.window}")
+    defaults = oracles.EnumerationBudget()
+    window = defaults.entry_window[1] if args.window is None else args.window
+    if window < 0:
+        raise DomainError(f"--window must be at least 0, got {window}")
     budget = oracles.EnumerationBudget(
-        max_total=args.max_total, entry_window=(-args.window, args.window), max_n=args.max_n
+        max_total=defaults.max_total if args.max_total is None else args.max_total,
+        entry_window=(-window, window),
+        max_n=defaults.max_n if args.max_n is None else args.max_n,
     )
     failures = getattr(oracles, f"check_{args.check}")(budget)
     if failures:
@@ -185,65 +202,44 @@ def _cmd_oracle(args) -> str:
     return f"{args.check}: all comparisons passed"
 
 
-def _family(p) -> None:
-    p.add_argument("--family", choices=["A", "B", "C", "D"], required=True)
+# Every option, each declared once: its flag and its argparse keywords.
+OPTIONS = {
+    "--family": {"choices": FAMILIES, "required": True},
+    "--n": {"type": _INT, "required": True},
+    "--parabolic": {"type": _INTS},
+    "--excluded": {"type": _INTS},
+    # socular.parse_weight is looked up when a weight is read, so that the import loads no weights code
+    "--weight": {"type": _option_type(lambda text: socular.parse_weight(text), "weight"), "required": True},
+    "--partition": {"type": _INTS, "required": True},
+    "--json": {"action": "store_true"},
+    "--double": {"choices": ("back", "front")},
+    "--a0": {"type": _INT, "required": True},
+    "--b": {"type": _INTS, "default": ()},
+    "--hollow": {"choices": ("odd", "even")},
+    "--check": {"choices": ORACLE_CHECKS, "required": True},
+    # the budget options default to EnumerationBudget's, filled in by _cmd_oracle
+    "--max-total": {"type": _INT},
+    "--max-n": {"type": _INT},
+    "--window": {"type": _INT},
+}
 
+_SETUP = ("--family", "--n", "--parabolic", "--excluded")
+_PARTITION_OP = ("--partition", "--family", "--json")
 
-def _rank(p) -> None:
-    p.add_argument("--n", type=int, required=True)
-
-
-def _setup(p) -> None:
-    _rank(p)
-    p.add_argument("--parabolic", type=_csv_ints)
-    p.add_argument("--excluded", type=_csv_ints)
-
-
-def _weight_option(p) -> None:
-    p.add_argument("--weight", type=_weight, required=True)
-
-
-def _partition(p) -> None:
-    p.add_argument("--partition", type=_csv_ints, required=True)
-
-
-def _output(p) -> None:
-    p.add_argument("--json", action="store_true")
-
-
-def _tableau(p) -> None:
-    _weight_option(p)
-    p.add_argument("--double", choices=["back", "front"])
-
-
-def _zdiagram(p) -> None:
-    p.add_argument("--a0", type=int, required=True)
-    p.add_argument("--b", type=_csv_ints, default=[])
-    p.add_argument("--hollow", choices=["odd", "even"])
-
-
-def _oracle(p) -> None:
-    p.set_defaults(json=False)  # no output options: it prints text
-    p.add_argument("--check", choices=ORACLE_CHECKS, required=True)
-    p.add_argument("--max-total", type=int, default=10)
-    p.add_argument("--max-n", type=int, default=2)
-    p.add_argument("--window", type=int, default=3)
-
-
-# Each subcommand: its handler, the functions that add its options in --help
-# order, and its one-line help for the program's --help.
+# Each subcommand: its handler, its flags in --help order, and its one-line
+# help for the program's --help.
 COMMANDS = {
-    "tableau": (_cmd_tableau, (_tableau, _output), "Robinson-Schensted tableau of a weight"),
-    "gkdim": (_cmd_gkdim, (_family, _rank, _weight_option, _output), "Gelfand-Kirillov dimension of L(lambda)"),
-    "socular": (_cmd_socular, (_family, _setup, _output, _weight_option), None),
-    "dimu": (_cmd_dimu, (_family, _setup, _output), None),
-    "parabolic": (_cmd_parabolic, (_family, _setup, _output), None),
-    "richardson": (_cmd_richardson, (_family, _setup, _output), None),
-    "zdiagram": (_cmd_zdiagram, (_zdiagram, _output), "Z-diagram of type (a0; b1,b2,...)"),
-    "halg": (partial(_cmd_partition_op, op="h_algorithm"), (_partition, _family, _output), None),
-    "collapse": (partial(_cmd_partition_op, op="collapse"), (_partition, _family, _output), None),
-    "expand": (partial(_cmd_partition_op, op="expand"), (_partition, _family, _output), None),
-    "oracle": (_cmd_oracle, (_oracle,), "run brute-force cross-checks"),
+    "tableau": (_cmd_tableau, ("--weight", "--double", "--json"), "Robinson-Schensted tableau of a weight"),
+    "gkdim": (_cmd_gkdim, ("--family", "--n", "--weight", "--json"), "Gelfand-Kirillov dimension of L(lambda)"),
+    "socular": (_cmd_socular, (*_SETUP, "--json", "--weight"), None),
+    "dimu": (_cmd_dimu, (*_SETUP, "--json"), None),
+    "parabolic": (_cmd_parabolic, (*_SETUP, "--json"), None),
+    "richardson": (_cmd_richardson, (*_SETUP, "--json"), None),
+    "zdiagram": (_cmd_zdiagram, ("--a0", "--b", "--hollow", "--json"), "Z-diagram of type (a0; b1,b2,...)"),
+    "halg": (partial(_cmd_partition_op, op="h_algorithm"), _PARTITION_OP, None),
+    "collapse": (partial(_cmd_partition_op, op="collapse"), _PARTITION_OP, None),
+    "expand": (partial(_cmd_partition_op, op="expand"), _PARTITION_OP, None),
+    "oracle": (_cmd_oracle, ("--check", "--max-total", "--max-n", "--window"), "run brute-force cross-checks"),
 }
 
 
@@ -256,12 +252,13 @@ def build_parser(command: str | None = None) -> _Parser:
     """
     parser = _Parser(prog="socular")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, options, help_line) in COMMANDS.items():
+    for name, (handler, flags, help_line) in COMMANDS.items():
         if command in (None, name):
             p = sub.add_parser(name, **({} if help_line is None else {"help": help_line}))
-            for add in options:
-                add(p)
-            p.set_defaults(handler=handler)
+            for flag in flags:
+                p.add_argument(flag, **OPTIONS[flag])
+            # oracle has no --json: it prints text
+            p.set_defaults(handler=handler, json=False)
     return parser
 
 
@@ -281,10 +278,10 @@ def run(argv=None) -> int:
     except _Mismatches as exc:
         print(exc)
         return INTEGRITY_ERROR
-    except (socular.DomainError, _RefusedValue) as exc:
+    except (DomainError, _RefusedValue) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
-    except socular.IntegrityError as exc:
+    except IntegrityError as exc:
         print(f"integrity error: {exc}", file=sys.stderr)
         return INTEGRITY_ERROR
     if args.json:

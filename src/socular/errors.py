@@ -1,9 +1,12 @@
 """Error types shared across the library, and the rules of every public boundary.
 
-The int rule, the sequence reader and the family-and-rank check live here, so
-a module that needs only them, :mod:`socular.gkdim` among them, loads no
-parabolic setup code.
+The int rule, the integer and sequence readers and the family-and-rank check
+live here, so a module that needs only them, :mod:`socular.gkdim` and
+:mod:`socular.cli` among them, loads no parabolic setup code.
 """
+
+import re
+import sys
 
 
 class DomainError(ValueError):
@@ -12,6 +15,24 @@ class DomainError(ValueError):
 
 class IntegrityError(RuntimeError):
     """An internal consistency check failed; this indicates a bug, not bad input."""
+
+
+class _DigitLimit(DomainError):
+    """A well-formed integer past the int conversion limit: the one ``ValueError`` of ``int()`` on well-formed text."""
+
+    def __init__(self):
+        super().__init__(f"an entry has more than {sys.get_int_max_str_digits()} digits, the int conversion limit")
+
+
+def read_int(text: str) -> int:
+    """``int(text)``; a well-formed integer past the int conversion limit raises :class:`_DigitLimit`."""
+    try:
+        return int(text)
+    except ValueError:
+        # int()'s base-10 grammar; \s and \d take the Unicode blanks and digits it takes
+        if re.fullmatch(r"\s*[+-]?\d(?:_?\d)*\s*", text):
+            raise _DigitLimit() from None
+        raise
 
 
 def is_int(v) -> bool:

@@ -10,18 +10,18 @@ Each oracle validates its argument once; the partitions it enumerates come from
 unchecked kernels of :mod:`socular.partitions` and :mod:`socular.hollow`.
 
 A sweep enumerates each candidate set once: the orbit partitions of a total
-are one cached table, built in one pass, that holds dominance as a bit
-relation.  Bit i stands for the i-th orbit partition in :func:`partitions_of`
-order, and for each prefix position j and value v the table holds the mask of
-the partitions whose j-th prefix sum is at most v, next to one mask of the
-special partitions and one per hollow key.  An oracle gets its candidates by
-ANDing about ``len(p)`` masks, not by comparing ``p`` with every orbit
-partition; every orbit partition is still a candidate.  The p-dominant weights
-of a window are generated block by block instead of filtered out of the whole
-window, and ``check_socular`` computes GK dimension and the criterion's
-candidate once per weight of a rank, not once per setup.  The
-fast-against-oracle checks share one runner, :func:`_mismatches`, each feeding
-it a generator of cases.
+are one cached table, built in one pass of bit ORs, that holds dominance as
+a bit relation.  Bit i stands for the i-th orbit partition in
+:func:`partitions_of` order, and for each prefix position j and value v the
+table holds the mask of the partitions whose j-th prefix sum is at most v,
+next to one mask of the special partitions and one per hollow key.  An
+oracle gets its candidates by ANDing about ``len(p)`` masks, not by comparing
+``p`` with every orbit partition; every orbit partition is still a candidate.
+The p-dominant weights of a window are generated block by block instead of
+filtered out of the whole window, and ``check_socular`` computes GK dimension
+and the criterion's candidate once per weight of a rank, not once per setup.
+The fast-against-oracle checks share one runner, :func:`_mismatches`, each
+feeding it a generator of cases.
 """
 
 from fractions import Fraction
@@ -30,7 +30,7 @@ from itertools import accumulate, chain, combinations, product
 from operator import and_, getitem, or_
 from typing import NamedTuple
 
-from .errors import DomainError, IntegrityError, as_tuple, check_family, is_int
+from .errors import FAMILIES, DomainError, IntegrityError, as_tuple, check_family, is_int
 from .gkdim import gk_dimension
 from .hollow import FAMILY_PARITY, _hollow_key, f_stat
 from .parabolic import _integral_candidate, _integral_target, _tail_dominant
@@ -53,8 +53,6 @@ from .transforms import _is_domino_type, h_algorithm
 
 # three families times the totals one sweep reaches, with room to spare
 ORBIT_TABLE_SIZE = 64
-_ONE = ord("1")
-_LESS_ONE = (-1).__add__
 _RESTRICTED = "restricted transform"
 
 
@@ -122,39 +120,32 @@ def _unique_extreme(cands: int, table: _OrbitTable, top: bool, search: str, p, f
     )
 
 
-def _mask(digits: bytearray) -> int:
-    """The int whose base-2 digits are ``digits``, most significant first; no digits is 0."""
-    return int(digits or b"0", 2)
-
-
 @lru_cache(maxsize=ORBIT_TABLE_SIZE)
 def _orbit_table(total: int, family: str) -> _OrbitTable:
     """Every type-``family`` orbit partition of ``total`` and its relations, as an ``_OrbitTable``.
 
-    One pass over the partitions fills a base-2 digit string per mask: a
-    position's strings bucket the partitions by their prefix sum there, and
-    ``accumulate(..., or_)`` over the bucket masks gives that position's
-    ``le``.  A partition's last prefix sum is the total, which every one
-    reaches, so ``le[j][total]`` is the whole table and needs no bucket.
+    One pass over the partitions ORs each one's bit into its buckets: a
+    position's buckets split the partitions by their prefix sum there, and
+    ``accumulate(..., or_)`` over the buckets gives that position's ``le``.
+    A partition's last prefix sum is the total, which every one reaches, so
+    ``le[j][total]`` is the whole table and needs no bucket.
     """
     parts = tuple(q for q in partitions_of(total) if _is_orbit(q, family))
-    size = len(parts)
     parity = FAMILY_PARITY[family]
-    # digit size - 1 - i of each string is bit i of its mask; the (j+1)-th
-    # prefix sum is at least j + 1, so position j buckets the sums above j
-    # by their excess, the prefix sum of the parts less one
-    buckets = [[bytearray(b"0") * size for _ in range(total - 1 - j)] for j in range(total)]
-    special = bytearray(b"0") * size
-    by_hollow: dict[tuple[int, ...], bytearray] = {}
-    for digit, q in zip(range(size - 1, -1, -1), parts):
-        for row, excess in zip(buckets, accumulate(map(_LESS_ONE, q[:-1]))):
-            row[excess][digit] = _ONE
+    at = [[0] * total for _ in range(total)]
+    special = 0
+    by_hollow: dict[tuple[int, ...], int] = {}
+    for i, q in enumerate(parts):
+        bit = 1 << i
+        for row, prefix in zip(at, accumulate(q[:-1])):
+            row[prefix] |= bit
         if _is_special(q, family):
-            special[digit] = _ONE
-        by_hollow.setdefault(_hollow_key(q, parity), bytearray(b"0") * size)[digit] = _ONE
-    everything = (1 << size) - 1
-    le = tuple((0,) * (j + 1) + (*accumulate(map(_mask, row), or_), everything) for j, row in enumerate(buckets))
-    return _OrbitTable(parts, everything, le, _mask(special), {key: _mask(d) for key, d in by_hollow.items()})
+            special |= bit
+        key = _hollow_key(q, parity)
+        by_hollow[key] = by_hollow.get(key, 0) | bit
+    everything = (1 << len(parts)) - 1
+    le = tuple((*accumulate(row, or_), everything) for row in at)
+    return _OrbitTable(parts, everything, le, special, by_hollow)
 
 
 def collapse_oracle(p, family: str) -> Partition:
@@ -391,7 +382,7 @@ def check_halg(budget: EnumerationBudget) -> list[str]:
     return _mismatches("halg", h_algorithm, restricted_transform_oracle, cases)
 
 
-def check_socular(budget: EnumerationBudget, families=("A", "B", "C", "D")) -> list[str]:
+def check_socular(budget: EnumerationBudget, families=FAMILIES) -> list[str]:
     """For every setup: max GK equals dim(u) and the attaining weights are the socular ones.
 
     GK dimension and the criterion's candidate side are computed once per

@@ -14,7 +14,7 @@ from collections.abc import Iterable, Iterator
 from itertools import accumulate
 from operator import ge
 
-from .errors import DomainError, as_tuple, is_int
+from .errors import DomainError, _DigitLimit, as_tuple, is_int, read_int
 
 ORBIT_FAMILIES = ("B", "C", "D")
 
@@ -46,7 +46,9 @@ def parse_partition(text: str) -> Partition:
     if not text:
         return ()
     try:
-        parts = [int(tok.strip()) for tok in text.split(",")]
+        parts = list(map(read_int, text.split(",")))
+    except _DigitLimit:
+        raise
     except ValueError:
         raise DomainError(f"cannot parse partition from {text!r}") from None
     return as_partition(parts)

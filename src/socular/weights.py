@@ -7,11 +7,10 @@ criteria are exact equalities.
 """
 
 import re
-import sys
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError, as_tuple, is_int
+from .errors import DomainError, _DigitLimit, as_tuple, is_int
 
 Weight = tuple[Fraction, ...]
 
@@ -26,17 +25,6 @@ def _entry(text: str) -> Fraction:
         return Fraction(int(text))
     num, _, den = text.partition("/")
     return Fraction(int(num), int(den))
-
-
-class _DigitLimit(DomainError):
-    """A well-formed entry with an integer past the interpreter's int conversion limit.
-
-    That limit is the one ``ValueError`` that ``int()`` raises on an entry
-    that matches ``_ENTRY``.
-    """
-
-    def __init__(self):
-        super().__init__(f"an entry has more than {sys.get_int_max_str_digits()} digits, the int conversion limit")
 
 
 def parse_rational(text: str) -> Fraction:

@@ -28,7 +28,7 @@ from socular import (
     z_diagram,
 )
 from socular.hollow import f_stat_column_form
-from socular.oracles import check_collapse, check_halg, check_socular, parabolic_setups
+from socular.oracles import _all_setups, check_collapse, check_halg, check_socular
 from socular.parabolic import z_type
 
 from helpers import all_partitions
@@ -145,15 +145,14 @@ def test_criterion_3_formula_consistency():
 def test_criterion_4_richardson_specialness_and_hollow():
     for family in ("B", "C", "D"):
         parity = "odd" if family in ("B", "C") else "even"
-        for n in range(2 if family == "D" else 1, 7):
-            for setup in parabolic_setups(family, n):
-                part = richardson_partition(setup).partition
-                assert sum(part) == (2 * n + 1 if family == "B" else 2 * n)
-                assert is_orbit_partition(part, family)
-                assert is_special(part, family)
-                tail, blocks = z_type(setup)
-                zshape = z_diagram(tail, blocks).shape
-                assert hollow(part, parity) == hollow(zshape, parity)
+        for setup in _all_setups(family, 6):
+            part = richardson_partition(setup).partition
+            assert sum(part) == (2 * setup.n + 1 if family == "B" else 2 * setup.n)
+            assert is_orbit_partition(part, family)
+            assert is_special(part, family)
+            tail, blocks = z_type(setup)
+            zshape = z_diagram(tail, blocks).shape
+            assert hollow(part, parity) == hollow(zshape, parity)
     _report("criterion 4 (Richardson specialness, totals, hollow preservation, n <= 6)")
 
 
@@ -162,8 +161,7 @@ def test_criterion_5_orbit_dimension_cross_check():
         parabolic_from_composition("C", (1, 1))
     )
     for family in ("A", "B", "C", "D"):
-        for n in range(2 if family in ("A", "D") else 1, 7):
-            for setup in parabolic_setups(family, n):
-                part = richardson_partition(setup).partition
-                assert orbit_dimension(part, family) == 2 * dim_nilradical(setup)
+        for setup in _all_setups(family, 6):
+            part = richardson_partition(setup).partition
+            assert orbit_dimension(part, family) == 2 * dim_nilradical(setup)
     _report("criterion 5 (orbit dimension = 2 dim u, n <= 6)")

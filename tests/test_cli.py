@@ -359,6 +359,23 @@ CONTRACT = [
         'gkdim --family A --n 2 --weight=1,' + '1' * 5000,
         2, '', 'domain error: an entry has more than 4300 digits, the int conversion limit\n',
     ),
+    # the same limit in every option that reads integers
+    (
+        'gkdim --family A --n=' + '2' * 5000 + ' --weight 1',
+        2, '', 'domain error: an entry has more than 4300 digits, the int conversion limit\n',
+    ),
+    (
+        'collapse --family C --partition=2,' + '2' * 5000,
+        2, '', 'domain error: an entry has more than 4300 digits, the int conversion limit\n',
+    ),
+    (
+        'zdiagram --a0 1 --b=' + '3' * 5000,
+        2, '', 'domain error: an entry has more than 4300 digits, the int conversion limit\n',
+    ),
+    (
+        'oracle --check halg --max-total=' + '4' * 5000,
+        2, '', 'domain error: an entry has more than 4300 digits, the int conversion limit\n',
+    ),
     ('collapse --partition 3,5 --family C', 2, '', 'domain error: partition parts must be weakly decreasing: (3, 5)\n'),
     ('collapse --partition 3,2 --family B', 0, '3,1,1\n', ''),
     (
@@ -578,6 +595,38 @@ def test_cli_help(capsys, monkeypatch, command):
         run([*command.split(), "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr() == (HELP[command], "")
+
+
+# a valid call of a subcommand that names the option, the option's value to come last
+VALUE_CALLS = {
+    "--n": "gkdim --family A --weight 1,2 --n",
+    "--parabolic": "dimu --family B --n 4 --parabolic",
+    "--excluded": "dimu --family B --n 4 --excluded",
+    "--weight": "gkdim --family A --n 2 --weight",
+    "--partition": "collapse --family C --partition",
+    "--a0": "zdiagram --a0",
+    "--b": "zdiagram --a0 1 --b",
+    "--max-total": "oracle --check halg --max-total",
+    "--max-n": "oracle --check socular --max-n",
+    "--window": "oracle --check socular --window",
+}
+
+
+@pytest.mark.parametrize("flag", cli.OPTIONS)
+def test_every_option_is_named_and_reads_values_by_one_rule(capsys, flag):
+    named = [flags for _, flags, _ in cli.COMMANDS.values()]
+    assert all(set(flags) <= set(cli.OPTIONS) and len(set(flags)) == len(flags) for flags in named)
+    assert any(flag in flags for flags in named)
+    assert (flag in VALUE_CALLS) == ("type" in cli.OPTIONS[flag])
+    if flag not in VALUE_CALLS:
+        return
+    argv = VALUE_CALLS[flag].split()
+    assert flag in cli.COMMANDS[argv[0]][1]
+    # malformed text is a usage error; a well-formed value past the int conversion limit a domain error
+    assert run([*argv, "x"]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: argument {flag}: ")
+    limit = "domain error: an entry has more than 4300 digits, the int conversion limit\n"
+    assert (run([*argv, "7" * 5000]), *capsys.readouterr()) == (2, "", limit)
 
 
 def test_oracle_mismatches_exit_3(capsys, monkeypatch):

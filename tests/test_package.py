@@ -27,7 +27,7 @@ from socular import (
     rs_shape,
     z_diagram,
 )
-from socular.errors import check_family
+from socular.errors import check_family, read_int
 from socular.hollow import f_stat_column_form
 from socular.oracles import check_collapse, check_socular
 from socular.partitions import as_partition
@@ -340,6 +340,28 @@ def test_one_int_rule_refuses_a_bool_and_accepts_an_int_subclass(name):
     with pytest.raises(DomainError):
         call(True)
     assert call(_Two.TWO) == call(2)
+
+
+# int()'s grammar, and malformed text long enough that int() names the digit limit
+INT_TEXTS = ["4", "+4", "-4", "1_0", " 7\t", "\u0663", "0004", "x", "", "1__0", "_1", "4.0", "1 2", "9" * 5000 + "x"]
+
+
+@pytest.mark.parametrize("text", INT_TEXTS, ids=repr)
+def test_read_int_reads_what_int_reads(text):
+    try:
+        want = int(text)
+    except ValueError:
+        with pytest.raises(ValueError) as exc:
+            read_int(text)
+        assert not isinstance(exc.value, DomainError)
+    else:
+        assert read_int(text) == want
+
+
+@pytest.mark.parametrize("text", ["9" * 5000, " -1_" + "2" * 5000])
+def test_read_int_refuses_a_well_formed_integer_past_the_digit_limit(text):
+    with pytest.raises(DomainError, match=f"^an entry has more than {sys.get_int_max_str_digits()} digits"):
+        read_int(text)
 
 
 def test_an_int_subclass_gives_plain_int_parts():

@@ -21,7 +21,7 @@ from socular import (
     z_diagram,
 )
 
-from socular.oracles import parabolic_setups
+from socular.oracles import _all_setups
 from socular.parabolic import z_type
 
 from helpers import levi_positive_root_count
@@ -189,18 +189,17 @@ def _p_dominant_by_definition(w, setup):
 def test_p_dominance_matches_the_fraction_definition():
     rng = random.Random(41)
     for family in "ABCD":
-        for n in range(2 if family in "AD" else 1, 5):
-            for setup in parabolic_setups(family, n):
-                for _ in range(60):
-                    # steps of mixed size and denominator, so that every root
-                    # check both passes and fails, on ints and on Fractions
-                    d = rng.choice([1, 1, 2, 3, 4, 6])
-                    w = [F(rng.randint(-12, 12), d)]
-                    for _ in range(n - 1):
-                        w.append(w[-1] - F(rng.randint(-2, 4), rng.choice([1, 1, 1, d, 2, 3])))
-                    if rng.random() < 0.3:
-                        w = [int(v) if v.denominator == 1 else v for v in w]
-                    assert is_p_dominant(w, setup) == _p_dominant_by_definition(w, setup), (w, setup)
+        for setup in _all_setups(family, 4):
+            for _ in range(60):
+                # steps of mixed size and denominator, so that every root
+                # check both passes and fails, on ints and on Fractions
+                d = rng.choice([1, 1, 2, 3, 4, 6])
+                w = [F(rng.randint(-12, 12), d)]
+                for _ in range(setup.n - 1):
+                    w.append(w[-1] - F(rng.randint(-2, 4), rng.choice([1, 1, 1, d, 2, 3])))
+                if rng.random() < 0.3:
+                    w = [int(v) if v.denominator == 1 else v for v in w]
+                assert is_p_dominant(w, setup) == _p_dominant_by_definition(w, setup), (w, setup)
 
 
 def test_socular_paper_examples():

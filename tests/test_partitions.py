@@ -63,8 +63,17 @@ def test_parse_format():
     assert format_partition((7, 5, 5, 3, 3)) == "7,5,5,3,3"
     with pytest.raises(DomainError):
         parse_partition("3,5")
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^cannot parse partition from 'a,b'$"):
         parse_partition("a,b")
+
+
+def test_parse_partition_refuses_a_part_past_the_digit_limit():
+    message = f"^an entry has more than {sys.get_int_max_str_digits()} digits, the int conversion limit$"
+    with pytest.raises(DomainError, match=message):
+        parse_partition("9" * 5000 + ",1")
+    # malformed text keeps its own message, however long
+    with pytest.raises(DomainError, match="^cannot parse partition from '9+x'$"):
+        parse_partition("9" * 5000 + "x")
 
 
 def test_is_orbit_partition():

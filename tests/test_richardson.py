@@ -12,7 +12,7 @@ from socular import (
     richardson_partition,
     z_diagram,
 )
-from socular.oracles import parabolic_setups
+from socular.oracles import _all_setups
 from socular.parabolic import z_type
 
 
@@ -60,23 +60,21 @@ def test_very_even_detection():
 def test_result_is_special_with_correct_total():
     totals = {"B": lambda n: 2 * n + 1, "C": lambda n: 2 * n, "D": lambda n: 2 * n}
     for family in ("B", "C", "D"):
-        for n in range(2 if family == "D" else 1, 5):
-            for setup in parabolic_setups(family, n):
-                part = richardson_partition(setup).partition
-                assert sum(part) == totals[family](n)
-                assert is_orbit_partition(part, family)
-                assert is_special(part, family)
+        for setup in _all_setups(family, 4):
+            part = richardson_partition(setup).partition
+            assert sum(part) == totals[family](setup.n)
+            assert is_orbit_partition(part, family)
+            assert is_special(part, family)
 
 
 def test_hollow_preservation_smoke():
     for family in ("B", "C", "D"):
         parity = "odd" if family in ("B", "C") else "even"
-        for n in range(2 if family == "D" else 1, 5):
-            for setup in parabolic_setups(family, n):
-                tail, blocks = z_type(setup)
-                zshape = z_diagram(tail, blocks).shape
-                part = richardson_partition(setup).partition
-                assert hollow(part, parity) == hollow(zshape, parity)
+        for setup in _all_setups(family, 4):
+            tail, blocks = z_type(setup)
+            zshape = z_diagram(tail, blocks).shape
+            part = richardson_partition(setup).partition
+            assert hollow(part, parity) == hollow(zshape, parity)
 
 
 def test_orbit_dimension_seed():
@@ -102,17 +100,15 @@ def test_richardson_agrees_with_h_algorithm_on_z_shape():
 
     setups = 0
     for family in ("B", "C", "D"):
-        for n in range(2 if family == "D" else 1, 9):
-            for setup in parabolic_setups(family, n):
-                zshape = z_diagram(*z_type(setup)).shape
-                assert h_algorithm(zshape, family) == richardson_partition(setup).partition, setup
-                setups += 1
+        for setup in _all_setups(family, 8):
+            zshape = z_diagram(*z_type(setup)).shape
+            assert h_algorithm(zshape, family) == richardson_partition(setup).partition, setup
+            setups += 1
     assert setups == 1528
 
 
 def test_richardson_dim_is_twice_dim_u_smoke():
     for family in ("A", "B", "C", "D"):
-        for n in range(2, 5):
-            for setup in parabolic_setups(family, n):
-                part = richardson_partition(setup).partition
-                assert orbit_dimension(part, family) == 2 * dim_nilradical(setup)
+        for setup in _all_setups(family, 4):
+            part = richardson_partition(setup).partition
+            assert orbit_dimension(part, family) == 2 * dim_nilradical(setup)
