@@ -44,8 +44,9 @@ class _Mismatches(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # weight values like -9,-5,-6,-7,8 must parse as values, not options
-        self._negative_number_matcher = re.compile(r"^-\d[\d,/-]*$")
+        # values like -9,-5,-6,-7,8, -1_0 or -1,+2 must parse as values, not options: after the
+        # leading -digit, every character read_int or parse_weight takes, blanks and _ among them
+        self._negative_number_matcher = re.compile(r"^-\d[\d_,/+\s-]*$")
 
     def error(self, message):
         raise _UsageError(message)

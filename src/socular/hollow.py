@@ -3,11 +3,10 @@
 The box in row k, column l (both 1-based) is even when k+l is even and odd
 when k+l is odd.  A hollow shape keeps only the cells of one parity; it is
 fixed by its per-row counts (p^ev or p^odd), which is how the library compares
-hollow shapes.  Only :func:`hollow` builds the cells.
+hollow shapes.  Only :func:`hollow` builds the cells.  Every statistic reads
+the counts from one kernel, :func:`_row_counts`: a plain loop, as most shapes
+have a few rows, too few to pay for building an iterator chain.
 """
-
-from itertools import cycle, repeat
-from operator import add, floordiv
 
 from .errors import DomainError
 from .partitions import Partition, _transpose, as_partition
@@ -29,15 +28,23 @@ def _row_counts(p: Partition, parity: str) -> tuple[int, ...]:
 
     Row k starts with an even box when k is odd, so ceil(L/2) of its L boxes
     are even for odd k and floor(L/2) for even k."""
-    lead = cycle((1, 0) if parity == "even" else (0, 1))
-    return tuple(map(floordiv, map(add, p, lead), repeat(2)))
+    lead = parity == "even"  # whether the row at hand starts with a box of ``parity``
+    counts = []
+    for length in p:
+        counts.append((length + lead) // 2)
+        lead = not lead
+    return tuple(counts)
 
 
 def _hollow_key(p: Partition, parity: str) -> tuple[int, ...]:
     """:func:`_row_counts` without the one trailing zero that 1-rows, alternating
     1 and 0, may leave: partitions of any totals share a hollow shape exactly
     when their keys are equal."""
-    counts = _row_counts(p, parity)
+    return _key_of(_row_counts(p, parity))
+
+
+def _key_of(counts: tuple[int, ...]) -> tuple[int, ...]:
+    """The :func:`_hollow_key` of the partition whose row counts are ``counts``."""
     return counts[:-1] if counts and not counts[-1] else counts
 
 
@@ -88,7 +95,11 @@ def _f_stat(sh: Partition, kind: str) -> int:
     """:func:`f_stat` of a canonical partition and a valid kind, unchecked."""
     if kind == "a":
         return sum(c * (c - 1) // 2 for c in _transpose(sh))
-    return sum(i * c for i, c in enumerate(_row_counts(sh, "odd" if kind == "b" else "even")))
+    total = i = 0
+    for c in _row_counts(sh, "odd" if kind == "b" else "even"):
+        total += i * c
+        i += 1
+    return total
 
 
 def f_stat_column_form(p, kind: str) -> int:

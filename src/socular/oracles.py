@@ -25,9 +25,9 @@ feeding it a generator of cases.
 """
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate, chain, combinations, product
-from operator import and_, getitem, or_
+from operator import or_
 from typing import NamedTuple
 
 from .errors import FAMILIES, DomainError, IntegrityError, as_tuple, check_family, is_int
@@ -86,15 +86,20 @@ def _dominated(table: _OrbitTable, q: Partition) -> int:
     For equal totals dominance is prefix sums alone, and past its last part
     every partition's sum is the total, so one mask per part of ``q`` decides.
     """
-    return reduce(and_, map(getitem, table.le, accumulate(q)), table.everything)
+    mask, prefix = table.everything, 0
+    for row, v in zip(table.le, q):
+        prefix += v
+        mask &= row[prefix]
+    return mask
 
 
 def _dominating(table: _OrbitTable, q: Partition) -> int:
     """The table's partitions that dominate ``q``, a partition of its total: none of their prefix sums is below."""
-    if not q:
-        return table.everything
-    # each prefix sum of q less one
-    return table.everything ^ reduce(or_, map(getitem, table.le, accumulate(q[1:], initial=q[0] - 1)), 0)
+    below, prefix = 0, -1  # each prefix sum of q less one
+    for row, v in zip(table.le, q):
+        prefix += v
+        below |= row[prefix]
+    return table.everything ^ below
 
 
 def _unique_extreme(cands: int, table: _OrbitTable, top: bool, search: str, p, family: str) -> Partition:
@@ -174,12 +179,13 @@ def restricted_transform_oracle(p, family: str) -> Partition:
     """
     p = as_partition(p)
     _check_orbit_family(family)
-    if not _is_domino_type(p):
-        raise DomainError(f"{p} is not of domino type")
     parity = FAMILY_PARITY[family]
+    key = _hollow_key(p, parity)
+    if 2 * sum(key) != sum(p):  # one parity's count decides, as in h_algorithm
+        raise DomainError(f"{p} is not of domino type")
     target = sum(p) + 1 if family == "B" else sum(p)
     table = _orbit_table(target, family)
-    cands = table.by_hollow.get(_hollow_key(p, parity))
+    cands = table.by_hollow.get(key)
     if cands is None:
         raise IntegrityError(f"no type-{family} partition of {target} shares the {parity} boxes of {p}")
     if family == "B":

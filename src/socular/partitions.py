@@ -24,16 +24,20 @@ Partition = tuple[int, ...]
 def as_partition(parts: Iterable[int]) -> Partition:
     """Validate an iterable of parts and return it as a canonical tuple of plain ints."""
     p = as_tuple(parts, "a partition must be a sequence of parts")
-    cast = False
+    # one pass checks every part and notes a rise, which is reported only once all parts are checked
+    cast = rising = False
+    last = p[0] if p else 0
     for v in p:
-        if type(v) is int and v > 0:
-            continue
-        if not is_int(v) or v < 1:
-            raise DomainError(f"partition parts must be positive integers, got {v!r}")
-        cast = True  # an int subclass, such as an IntEnum member
+        if type(v) is not int or v < 1:
+            if not is_int(v) or v < 1:
+                raise DomainError(f"partition parts must be positive integers, got {v!r}")
+            cast = True  # an int subclass, such as an IntEnum member
+        if v > last:
+            rising = True
+        last = v
     if cast:
         p = tuple(map(int, p))
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+    if rising:
         raise DomainError(f"partition parts must be weakly decreasing: {p}")
     return p
 

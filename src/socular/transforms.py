@@ -4,7 +4,9 @@ Both read the rows from the hollow kernel's per-row parity counts
 (:func:`socular.hollow._row_counts`); the parity rule for a box is written
 only in :mod:`socular.hollow`.  A diagram is of domino type when half of its
 boxes are even: each domino covers one box of each parity, and the 2-core is
-a staircase (k, ..., 1), whose two parities differ unless k = 0.
+a staircase (k, ..., 1), whose two parities differ unless k = 0.  As the two
+parities add up to |p|, the H-algorithm reads one count, of its family's
+parity, for its domino test, its rows and its final hollow self-check.
 
 The H-algorithm turns a domino-type partition of 2n into a special partition
 (of 2n+1 for B, of 2n for C and D) with exactly the same odd boxes (B, C) or
@@ -20,7 +22,7 @@ counts give each row's last retained column:
 """
 
 from .errors import DomainError, IntegrityError
-from .hollow import FAMILY_PARITY, _first_column, _hollow_key, _row_counts
+from .hollow import FAMILY_PARITY, _first_column, _hollow_key, _key_of, _row_counts
 from .partitions import Partition, _check_orbit_family, as_partition
 
 
@@ -48,10 +50,11 @@ def h_algorithm(p, family: str) -> Partition:
     """Special partition with the same odd (B, C) or even (D) boxes as ``p``."""
     p = as_partition(p)
     _check_orbit_family(family)
-    if not _is_domino_type(p):
-        raise DomainError(f"{p} is not of domino type")
     parity = FAMILY_PARITY[family]
-    last = [2 * c - 2 + _first_column(k, parity) for k, c in enumerate(_row_counts(p, parity), 1)]
+    counts = _row_counts(p, parity)
+    if 2 * sum(counts) != sum(p):
+        raise DomainError(f"{p} is not of domino type")
+    last = [2 * c - 2 + _first_column(k, parity) for k, c in enumerate(counts, 1)]
     extending = 1 if family == "B" else 0
 
     lengths: list[int] = []
@@ -65,7 +68,7 @@ def h_algorithm(p, family: str) -> Partition:
             label += 1
             i += 1
 
-    if any(lengths[i] < lengths[i + 1] for i in range(len(lengths) - 1)):
+    if sorted(lengths, reverse=True) != lengths:
         raise IntegrityError(f"H-algorithm rows not weakly decreasing: {lengths}")
     out = [v for v in lengths if v > 0]
 
@@ -75,6 +78,6 @@ def h_algorithm(p, family: str) -> Partition:
     if sum(out) != target:
         raise IntegrityError(f"H-algorithm total {sum(out)} != target {target} for {p} in type {family}")
     result = tuple(out)
-    if _hollow_key(result, parity) != _hollow_key(p, parity):
+    if _hollow_key(result, parity) != _key_of(counts):
         raise IntegrityError(f"H-algorithm moved {parity} boxes on {p} in type {family}")
     return result

@@ -93,9 +93,14 @@ def integer_entries(weight) -> tuple[list[int], list[int]]:
     """The numerators and the denominators of a weight's entries, each checked to be an
     int (not a bool) or a Fraction: the one weight reader the other modules use."""
     w = as_tuple(weight, _SEQUENCE_RULE)
+    ints = True
     for v in w:
-        if type(v) is not int and type(v) is not Fraction:  # the common types skip the call
-            _exact(v)
+        if type(v) is not int:
+            ints = False
+            if type(v) is not Fraction:  # the common types skip the call
+                _exact(v)
+    if ints:  # an int is its own numerator over 1
+        return list(w), [1] * len(w)
     return [v.numerator for v in w], [v.denominator for v in w]
 
 

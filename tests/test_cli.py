@@ -390,6 +390,9 @@ CONTRACT = [
     ('halg --partition 3,1 --family A', 2, '', "domain error: orbit family must be one of ('B', 'C', 'D'), got 'A'\n"),
     ('halg --partition 3 --family B', 2, '', 'domain error: (3,) is not of domino type\n'),
     ('zdiagram --a0 -1', 2, '', 'domain error: a0 must be a non-negative integer, got -1\n'),
+    # a negative value with digit-group underscores is a value, as read_int reads it, not an option
+    ('zdiagram --a0 -1_0', 2, '', 'domain error: a0 must be a non-negative integer, got -10\n'),
+    ('zdiagram --a0 1 --b -1_0,2', 2, '', 'domain error: every b_i must be a positive integer, got -10\n'),
     ('oracle --check collapse --max-total -3', 2, '', 'domain error: bad budget max_total=-3: must be at least 0\n'),
     ('oracle --check socular --max-n 0', 2, '', 'domain error: bad budget max_n=0: must be at least 1\n'),
     ('oracle --check halg --window -1', 2, '', 'domain error: --window must be at least 0, got -1\n'),
@@ -627,6 +630,24 @@ def test_every_option_is_named_and_reads_values_by_one_rule(capsys, flag):
     assert capsys.readouterr().err.startswith(f"usage error: argument {flag}: ")
     limit = "domain error: an entry has more than 4300 digits, the int conversion limit\n"
     assert (run([*argv, "7" * 5000]), *capsys.readouterr()) == (2, "", limit)
+
+
+# values with blanks, which a shell passes in one word: (argv, exit code, stderr)
+BLANK_VALUES = [
+    # a space makes argparse read a value whatever it looks like; a tab or newline does not
+    (["zdiagram", "--a0", "-1 "], 2, "domain error: a0 must be a non-negative integer, got -1\n"),
+    (["zdiagram", "--a0", "-1\t"], 2, "domain error: a0 must be a non-negative integer, got -1\n"),
+    (["zdiagram", "--a0", "1", "--b", "-1,\t2"], 2, "domain error: every b_i must be a positive integer, got -1\n"),
+    (["zdiagram", "--a0", "1", "--b", "-1,+2\n"], 2, "domain error: every b_i must be a positive integer, got -1\n"),
+    # malformed text after a leading -digit is still a value that read_int refuses
+    (["zdiagram", "--a0", "-1_"], 1, "usage error: argument --a0: invalid int value: '-1_'\n"),
+    (["zdiagram", "--a0", "- 1"], 1, "usage error: argument --a0: invalid int value: '- 1'\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", BLANK_VALUES, ids=[repr(argv[-1]) for argv, _, _ in BLANK_VALUES])
+def test_a_negative_value_with_blanks_is_read_as_a_value(capsys, argv, code, err):
+    assert (run(argv), *capsys.readouterr()) == (code, "", err)
 
 
 def test_oracle_mismatches_exit_3(capsys, monkeypatch):

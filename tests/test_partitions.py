@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,41 @@ def test_as_partition_validation():
         as_partition((1, 2))
     with pytest.raises(DomainError):
         as_partition((2, 0))
+
+
+class _Two(IntEnum):
+    TWO = 2
+
+
+_POSITIVE = "partition parts must be positive integers, got "
+
+# (parts, message): a part that is not a positive int is named before any rise, wherever it stands
+AS_PARTITION_REFUSALS = [
+    ((2, True), _POSITIVE + "True"),
+    ((2.0,), _POSITIVE + "2.0"),
+    (("2",), _POSITIVE + "'2'"),
+    ((2, 0), _POSITIVE + "0"),
+    ((3, -1), _POSITIVE + "-1"),
+    ((1, 2, 0), _POSITIVE + "0"),
+    ((3, 1, "x", 0), _POSITIVE + "'x'"),
+    ((1, 2), "partition parts must be weakly decreasing: (1, 2)"),
+    # the rise is reported with the parts already cast to int
+    ((1, _Two.TWO), "partition parts must be weakly decreasing: (1, 2)"),
+    (5, "a partition must be a sequence of parts, got 5"),
+]
+
+
+@pytest.mark.parametrize("parts, message", AS_PARTITION_REFUSALS, ids=[repr(p) for p, _ in AS_PARTITION_REFUSALS])
+def test_as_partition_messages_and_which_wins(parts, message):
+    with pytest.raises(DomainError) as exc:
+        as_partition(parts)
+    assert str(exc.value) == message
+
+
+def test_as_partition_casts_an_int_subclass_to_int():
+    p = as_partition((_Two.TWO, 1))
+    assert p == (2, 1) and [type(v) for v in p] == [int, int]
+    assert as_partition(()) == ()
 
 
 def test_parse_format():

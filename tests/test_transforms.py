@@ -1,8 +1,11 @@
+from importlib import import_module
+
 import pytest
 
 from socular import oracles, transforms
 from socular import (
     DomainError,
+    IntegrityError,
     h_algorithm,
     hollow,
     is_domino_type,
@@ -14,6 +17,8 @@ from socular.oracles import _orbit_table
 from socular.partitions import as_partition
 
 from helpers import all_partitions, mask_members, tiling_domino_oracle
+
+hollow_module = import_module("socular.hollow")  # ``socular.hollow`` is also a function
 
 
 def test_domino_type_paper_example():
@@ -69,6 +74,64 @@ def test_h_algorithm_and_its_oracle_validate_their_argument_once(monkeypatch):
             calls.clear()
             fn(p, family)
             assert len(calls) == 1, (fn.__name__, p, family)
+
+
+def test_h_algorithm_and_its_oracle_count_the_input_once(monkeypatch):
+    # h_algorithm counts p once, for its domino test, its rows and its self-check, and
+    # counts its result once for that check; the oracle counts p once, for its domino test
+    # and its lookup.  The tables are built first, so no table build is counted.
+    calls = []
+    kernel = hollow_module._row_counts
+
+    def counting_row_counts(p, parity):
+        calls.append((p, parity))
+        return kernel(p, parity)
+
+    cases = (((6, 4, 4, 4, 2, 2, 1, 1), "B"), ((5, 3), "C"), ((2, 2), "D"))
+    for p, family in cases:
+        restricted_transform_oracle(p, family)
+    monkeypatch.setattr(hollow_module, "_row_counts", counting_row_counts)
+    monkeypatch.setattr(transforms, "_row_counts", counting_row_counts)
+    for p, family in cases:
+        parity = FAMILY_PARITY[family]
+        calls.clear()
+        out = h_algorithm(p, family)
+        assert calls == [(p, parity), (out, parity)], (p, family)
+        calls.clear()
+        restricted_transform_oracle(p, family)
+        assert calls == [(p, parity)], (p, family)
+
+
+# (rule, wrong rule, p, family, message): each self-check of h_algorithm still fires
+WRONG_RULES = [
+    ("_pair_blocked", lambda p, last, i, family: True, (2, 1, 1), "B", "moved odd boxes on (2, 1, 1) in type B"),
+    ("_first_column", lambda k, parity: 1, (4, 2), "D", "moved even boxes on (4, 2) in type D"),
+    ("_pair_blocked", lambda p, last, i, family: False, (1, 1), "C", "rows not weakly decreasing: [0, 2]"),
+    ("_first_column", lambda k, parity: 1, (2,), "C", "total 1 != target 2 for (2,) in type C"),
+]
+
+
+@pytest.mark.parametrize("rule, wrong, p, family, message", WRONG_RULES, ids=[r[4] for r in WRONG_RULES])
+def test_h_algorithm_self_checks_catch_a_wrong_rule(monkeypatch, rule, wrong, p, family, message):
+    monkeypatch.setattr(transforms, rule, wrong)
+    with pytest.raises(IntegrityError) as exc:
+        h_algorithm(p, family)
+    assert str(exc.value) == f"H-algorithm {message}"
+
+
+def test_h_algorithm_and_its_oracle_refuse_exactly_the_non_domino_partitions():
+    # counting one parity decides the domino type: pinned against is_domino_type on every partition
+    for p in all_partitions(24):
+        domino = is_domino_type(p)
+        for family in ("B", "C", "D"):
+            for fn in (h_algorithm, restricted_transform_oracle):
+                try:
+                    fn(p, family)
+                    refused = False
+                except DomainError as exc:
+                    assert str(exc) == f"{p} is not of domino type", (fn.__name__, p, family)
+                    refused = True
+                assert refused == (not domino), (fn.__name__, p, family)
 
 
 def test_domino_type_still_validates_its_argument():
