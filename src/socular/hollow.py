@@ -3,9 +3,9 @@
 The box in row k, column l (both 1-based) is even when k+l is even and odd
 when k+l is odd.  A hollow shape keeps only the cells of one parity; it is
 fixed by its per-row counts (p^ev or p^odd), which is how the library compares
-hollow shapes.  Only :func:`hollow` builds the cells.  Every statistic reads
-the counts from one kernel, :func:`_row_counts`: a plain loop, as most shapes
-have a few rows, too few to pay for building an iterator chain.
+hollow shapes.  Only :func:`hollow` builds the cells.  Every count comes from
+one kernel, :func:`_row_counts`: a plain loop, as most shapes have a few rows,
+too few to pay for building an iterator chain.
 """
 
 from .errors import DomainError
