@@ -7,7 +7,8 @@ reduces to n^2 - F_b(lambda^-) (B, C) and n^2 - n - F_d(lambda^-) (D).
 
 The computation runs on integers: every class is a sequence of numerators
 over one denominator d, and ``rs_shape`` gets d only when d > 1, where it
-only keys the cache.
+only keys the cache.  One walk over the classes looks each shape up once,
+and the GK sum, the breakdown and the socularity criterion all read it.
 """
 
 from .errors import FAMILIES, as_tuple, check_family  # FAMILIES: re-exported for importers of this module
@@ -25,62 +26,40 @@ def _ambient(family: str, n: int) -> int:
     return n * n - (n if family == "D" else 0)
 
 
-def _class_terms(nums: list[int], dens: list[int], family: str):
-    """Each congruence class in formula order: its 0-based positions, denominator,
-    statistic kind and the numerators of the sequence it inserts.
+def _classes(nums: list[int], dens: list[int], family: str):
+    """Each congruence class in formula order, as ``(positions, d, kind, seq, shape)``:
+    its 0-based positions, denominator, statistic kind, the numerators it inserts
+    and their shape, the class's one :func:`rs_shape` lookup, which gets d only
+    when d > 1, so that the class keys apart from an integral one.
 
     An all-integral weight is one class and skips the bucketing.
     """
     n = len(nums)
-    if dens.count(1) == n:
-        if family == "A":
-            yield range(n), 1, "a", tuple(nums)
+    buckets = {(0, 1): range(n)} if dens.count(1) == n else class_buckets(nums, dens, family != "A")
+    kinds = {} if family == "A" else dict(zip(((0, 1), (1, 2)), _CLASS_KINDS[family]))
+    # B/C/D take the integral class first, then the half-integral one, then the rest
+    for key in [k for k in kinds if k in buckets] + [k for k in buckets if k not in kinds]:
+        idxs, d = buckets[key], key[1]
+        vals = nums if len(idxs) == n else [nums[i] for i in idxs]
+        if key in kinds:
+            kind, seq = kinds[key], double(vals)
         else:
-            yield range(n), 1, _CLASS_KINDS[family][0], double(nums)
-        return
-    buckets = class_buckets(nums, dens, family != "A")
-    if family != "A":
-        kind0, kind_half = _CLASS_KINDS[family]
-        for key, kind in (((0, 1), kind0), ((1, 2), kind_half)):
-            idxs = buckets.pop(key, None)
-            if idxs is not None:
-                yield idxs, key[1], kind, double([nums[i] for i in idxs])
-    for (_, d), idxs in buckets.items():
-        vals = [nums[i] for i in idxs]
-        yield idxs, d, "a", tuple(vals) if family == "A" else tilde_numerators(vals, d)
+            kind, seq = "a", tuple(vals) if family == "A" else tilde_numerators(vals, d)
+        yield idxs, d, kind, seq, rs_shape(seq) if d == 1 else rs_shape(seq, d)
 
 
 def _fmt(x: int, d: int) -> str:
     return str(x) if d == 1 else f"{x}/{d}"
 
 
-def _gk(nums: list[int], dens: list[int], family: str, records: list | None = None) -> tuple[int, int]:
-    """(GK dimension, ambient dimension) of the weight ``integer_entries`` read as ``nums, dens``;
-    with ``records``, one record per class is appended.
-
-    Each class's numerators go to :func:`rs_shape`, with its denominator d
-    passed only when d > 1, so that it keys apart from an integral class.
-    """
+def _gk(nums: list[int], dens: list[int], family: str) -> tuple[int, int, list]:
+    """(GK dimension, ambient dimension, classes) of the weight ``integer_entries``
+    read as ``nums, dens``, with the classes as :func:`_classes` yields them."""
     n = len(nums)
     check_family(family, n)
     ambient = _ambient(family, n)
-    penalty = 0
-    for idxs, d, kind, seq in _class_terms(nums, dens, family):
-        sh = rs_shape(seq) if d == 1 else rs_shape(seq, d)
-        value = _f_stat(sh, kind)
-        penalty += value
-        if records is not None:
-            records.append(
-                {
-                    "positions": [i + 1 for i in idxs],
-                    "entries": [_fmt(nums[i], d) for i in idxs],
-                    "sequence": [_fmt(x, d) for x in seq],
-                    "shape": list(sh),
-                    "kind": kind,
-                    "f": value,
-                }
-            )
-    return ambient - penalty, ambient
+    classes = list(_classes(nums, dens, family))
+    return ambient - sum(_f_stat(sh, kind) for _, _, kind, _, sh in classes), ambient, classes
 
 
 def f_stat_sequence(seq, kind: str) -> int:
@@ -95,8 +74,19 @@ def gk_breakdown(weight, family: str) -> dict:
     whose insertion tableau is used, that tableau's shape, the statistic kind,
     and the subtracted amount.
     """
-    records: list[dict] = []
-    gk, ambient = _gk(*integer_entries(weight), family, records)
+    nums, dens = integer_entries(weight)
+    gk, ambient, classes = _gk(nums, dens, family)
+    records = [
+        {
+            "positions": [i + 1 for i in idxs],
+            "entries": [_fmt(nums[i], d) for i in idxs],
+            "sequence": [_fmt(x, d) for x in seq],
+            "shape": list(sh),
+            "kind": kind,
+            "f": _f_stat(sh, kind),
+        }
+        for idxs, d, kind, seq, sh in classes
+    ]
     return {"gkdim": gk, "ambient": ambient, "classes": records}
 
 

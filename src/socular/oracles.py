@@ -18,8 +18,9 @@ next to one mask of the special partitions and one per hollow key.  An
 oracle gets its candidates by ANDing about ``len(p)`` masks, not by comparing
 ``p`` with every orbit partition; every orbit partition is still a candidate.
 The p-dominant weights of a window are generated block by block instead of
-filtered out of the whole window, and ``check_socular`` computes GK dimension
-and the criterion's candidate once per weight of a rank, not once per setup.
+filtered out of the whole window, with their own tail-root test, and
+``check_socular`` reads GK dimension and the criterion's class shape from one
+GK walk per weight of a rank, not one per setup.
 The fast-against-oracle checks share one runner, :func:`_mismatches`, each
 feeding it a generator of cases.
 """
@@ -31,9 +32,9 @@ from operator import or_
 from typing import NamedTuple
 
 from .errors import FAMILIES, DomainError, IntegrityError, as_tuple, check_family, is_int
-from .gkdim import gk_dimension
+from .gkdim import _gk, gk_dimension
 from .hollow import FAMILY_PARITY, _hollow_key, f_stat
-from .parabolic import _integral_candidate, _integral_target, _tail_dominant
+from .parabolic import _integral_candidate, _integral_target
 from .partitions import (
     ORBIT_FAMILIES,
     Partition,
@@ -313,15 +314,22 @@ def _dominant_weights(setup: ParabolicSetup, budget: EnumerationBudget) -> list[
     An integral weight is p-dominant when it falls strictly inside each block
     of the original composition and passes the tail root's test, so the
     weights are the products of each block's falling chains, concatenated,
-    that :func:`_tail_dominant` keeps.  Each factor is in ascending order, so
-    the product is too.
+    that the tail test keeps.  Each factor is in ascending order, so the
+    product is too.
     """
     if setup.n > budget.max_n:
         raise DomainError(f"rank {setup.n} exceeds budget max_n={budget.max_n}")
-    ones = [1] * setup.n
     chains = [_falling_chains(size, budget.entry_window) for size in setup.composition]
     weights = map(tuple, map(chain.from_iterable, product(*chains)))
-    return [w for w in weights if _tail_dominant(w, ones, setup)]
+    if setup.family == "A" or setup.n in setup.excluded:
+        return list(weights)
+    # a retained alpha_n pairs with an integral weight to a positive integer iff
+    # 2 x_n > 0 (B, alpha_n = e_n), x_n > 0 (C, 2 e_n) or x_{n-1} + x_n > 0 (D)
+    if setup.family == "B":
+        return [w for w in weights if 2 * w[-1] > 0]
+    if setup.family == "C":
+        return [w for w in weights if w[-1] > 0]
+    return [w for w in weights if w[-2] + w[-1] > 0]
 
 
 def socular_enumeration(setup: ParabolicSetup, budget: EnumerationBudget):
@@ -391,9 +399,9 @@ def check_halg(budget: EnumerationBudget) -> list[str]:
 def check_socular(budget: EnumerationBudget, families=FAMILIES) -> list[str]:
     """For every setup: max GK equals dim(u) and the attaining weights are the socular ones.
 
-    GK dimension and the criterion's candidate side are computed once per
-    distinct p-dominant weight of each family and rank, however many setups of
-    that rank hold the weight; the verdict comes from the combinatorial
+    Each distinct p-dominant weight of a family and rank gets one GK call,
+    however many setups of that rank hold it, and its one class shape gives
+    the criterion's candidate side; the verdict comes from the combinatorial
     criterion alone (every window weight is integral).  A setup whose window
     holds no p-dominant weight has nothing to compare and is skipped; a call in
     which no setup compares anything raises ``DomainError``.
@@ -406,15 +414,15 @@ def check_socular(budget: EnumerationBudget, families=FAMILIES) -> list[str]:
         rank = None
         for setup in _all_setups(family, budget.max_n):
             if setup.n != rank:  # the memo holds one rank's weights at a time
-                rank, facts = setup.n, {}
+                rank, facts, ones = setup.n, {}, [1] * setup.n
             dominant = _dominant_weights(setup, budget)
             if not dominant:
                 continue
             compared += 1
             for w in dominant:
                 if w not in facts:
-                    # the candidate's rs_shape call hits the entry of the GK call just made
-                    facts[w] = (gk_dimension(w, family), _integral_candidate(w, family))
+                    gk, _, classes = _gk(list(w), ones, family)
+                    facts[w] = gk, _integral_candidate(classes[0][4], family)
             best = max(facts[w][0] for w in dominant)
             du = dim_nilradical(setup)
             if best != du:

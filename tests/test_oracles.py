@@ -19,12 +19,14 @@ from socular import (
     restricted_transform_oracle,
     richardson_oracle,
     richardson_partition,
+    rs_shape,
     socular_enumeration,
+    z_diagram,
 )
-from socular import gkdim, oracles, partitions, richardson
+from socular import oracles, partitions, richardson
 from socular.hollow import FAMILY_PARITY, _hollow_key
 from socular.oracles import check_collapse, check_halg, check_richardson, check_socular, integral_weights
-from socular.parabolic import _p_dominant
+from socular.parabolic import _p_dominant, z_type
 from socular.partitions import ORBIT_FAMILIES, _dominates, _is_orbit, _is_special, partitions_of
 from socular.richardson import RichardsonResult
 
@@ -133,13 +135,15 @@ def test_check_socular_skips_window_without_dominant_weight():
 
 def test_check_socular_still_reports_a_wrong_maximum(monkeypatch):
     budget = EnumerationBudget(entry_window=(-2, 2), max_n=2)
-    monkeypatch.setattr(oracles, "gk_dimension", lambda w, family: 0)
+    real_gk = oracles._gk
+    monkeypatch.setattr(oracles, "_gk", lambda nums, dens, family: (0, *real_gk(nums, dens, family)[1:]))
     failures = check_socular(budget, ("B",))
     assert failures and all("max GK 0 != dim u" in f for f in failures)
 
 
 def test_check_socular_computes_gk_once_per_dominant_weight(monkeypatch):
-    # once per distinct (family, weight), however many setups of its rank hold it
+    # one GK walk and one rs_shape lookup per distinct (family, weight), however
+    # many setups of its rank hold it
     budget = EnumerationBudget(entry_window=(-3, 3), max_n=2)
     dominant = len(
         {
@@ -150,22 +154,43 @@ def test_check_socular_computes_gk_once_per_dominant_weight(monkeypatch):
             if is_p_dominant(w, setup)
         }
     )
-    calls = {"oracles": 0, "core": 0}
-    real_gk_dimension, real_gk = oracles.gk_dimension, gkdim._gk
+    walks = []
+    real_gk = oracles._gk
 
-    def counting_gk_dimension(w, family):
-        calls["oracles"] += 1
-        return real_gk_dimension(w, family)
+    def counting_gk(nums, dens, family):
+        walks.append((family, tuple(nums)))
+        return real_gk(nums, dens, family)
 
-    def counting_gk(*args):
-        calls["core"] += 1
-        return real_gk(*args)
+    def no_second_path(w, family):
+        raise AssertionError("check_socular computes GK only through its _gk walk")
 
-    monkeypatch.setattr(oracles, "gk_dimension", counting_gk_dimension)
-    monkeypatch.setattr(gkdim, "_gk", counting_gk)
+    monkeypatch.setattr(oracles, "_gk", counting_gk)
+    monkeypatch.setattr(oracles, "gk_dimension", no_second_path)
+    rs_shape.cache_clear()
     assert check_socular(budget) == []
+    info = rs_shape.cache_info()
     assert dominant == 210
-    assert calls == {"oracles": dominant, "core": dominant}
+    assert len(walks) == len(set(walks)) == dominant
+    # 98 distinct sequences: families share some, and the rest are hits
+    assert (info.hits + info.misses, info.misses) == (dominant, 98)
+
+
+def test_check_socular_reports_a_wrong_criterion_target(monkeypatch):
+    # D's Z-diagram read in odd parity: the criterion disagrees with GK
+    # attainment on some weights, while every maximum is still dim u
+    real_target = oracles._integral_target
+
+    def odd_d_target(setup):
+        if setup.family != "D":
+            return real_target(setup)
+        a0, bs = z_type(setup)
+        return _hollow_key(z_diagram(a0, bs).shape, "odd")
+
+    monkeypatch.setattr(oracles, "_integral_target", odd_d_target)
+    failures = check_socular(EnumerationBudget())
+    assert len(failures) == 42
+    assert all("criterion says" in f and "gk attainment says" in f for f in failures)
+    assert not [f for f in failures if "max GK" in f]
 
 
 def _enumerate_b1(budget):

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
@@ -7,6 +8,7 @@ import pytest
 
 from socular import (
     DomainError,
+    IntegrityError,
     dim_nilradical,
     double,
     gk_breakdown,
@@ -15,12 +17,14 @@ from socular import (
     is_integral,
     is_p_dominant,
     is_socular,
+    parabolic,
     parabolic_from_composition,
     parabolic_from_roots,
     rs_shape,
     z_diagram,
 )
 
+from socular.cli import run
 from socular.oracles import _all_setups
 from socular.parabolic import z_type
 
@@ -200,6 +204,35 @@ def test_p_dominance_matches_the_fraction_definition():
                 if rng.random() < 0.3:
                     w = [int(v) if v.denominator == 1 else v for v in w]
                 assert is_p_dominant(w, setup) == _p_dominant_by_definition(w, setup), (w, setup)
+
+
+@pytest.mark.parametrize(
+    "family, composition, weight", [("B", (2, 1, 1), (-5, -6, -4, 2)), ("A", (2, 1), (1, 0, 5))], ids=["B4", "A3"]
+)
+@pytest.mark.parametrize(
+    "kernel, message",
+    [
+        # a target nothing matches: GK reaches dim(u) but the criterion says no
+        ("_integral_target", "non-socular verdict with GKdim {du} == dim(u) {du}"),
+        # a GK of 0: the criterion says yes but GK falls short of dim(u)
+        ("_gk", "socular verdict with GKdim 0 != dim(u) {du}"),
+    ],
+    ids=["non-socular-at-dim-u", "socular-below-dim-u"],
+)
+def test_is_socular_checks_the_theorem_both_ways(monkeypatch, capsys, family, composition, weight, kernel, message):
+    setup = parabolic_from_composition(family, composition)
+    du = dim_nilradical(setup)
+    assert is_socular(weight, setup).verdict
+    real_gk = parabolic._gk
+    wrong = {"_integral_target": lambda setup: None, "_gk": lambda *args: (0, *real_gk(*args)[1:])}
+    monkeypatch.setattr(parabolic, kernel, wrong[kernel])
+    expected = message.format(du=du)
+    with pytest.raises(IntegrityError, match="^" + re.escape(expected) + " for "):
+        is_socular(weight, setup)
+    argv = ["socular", "--family", family, "--n", str(setup.n), "--parabolic", ",".join(map(str, composition))]
+    assert run([*argv, "--weight", ",".join(map(str, weight))]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"integrity error: {expected} for ")
 
 
 def test_socular_paper_examples():
