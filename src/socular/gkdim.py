@@ -16,8 +16,14 @@ from .hollow import _f_stat, f_stat
 from .tableaux import rs_shape
 from .weights import class_buckets, double, integer_entries, tilde_numerators
 
-# which F statistic the integral and half-integral classes contribute
-_CLASS_KINDS = {"B": ("b", "b"), "C": ("b", "d"), "D": ("d", "d")}
+# which F statistic the integral (0, 1) and half-integral (1, 2) classes
+# contribute, keyed by their residue pairs; type A has no such class
+_KINDS = {
+    "A": {},
+    "B": {(0, 1): "b", (1, 2): "b"},
+    "C": {(0, 1): "b", (1, 2): "d"},
+    "D": {(0, 1): "d", (1, 2): "d"},
+}
 
 
 def _ambient(family: str, n: int) -> int:
@@ -32,11 +38,16 @@ def _classes(nums: list[int], dens: list[int], family: str):
     and their shape, the class's one :func:`rs_shape` lookup, which gets d only
     when d > 1, so that the class keys apart from an integral one.
 
-    An all-integral weight is one class and skips the bucketing.
+    An all-integral or all-half-integral weight is one class and skips the
+    bucketing.
     """
     n = len(nums)
-    buckets = {(0, 1): range(n)} if dens.count(1) == n else class_buckets(nums, dens, family != "A")
-    kinds = {} if family == "A" else dict(zip(((0, 1), (1, 2)), _CLASS_KINDS[family]))
+    d = dens[0]
+    if d <= 2 and dens.count(d) == n:  # the one class (0, 1) or (1, 2)
+        buckets = {(d - 1, d): range(n)}
+    else:
+        buckets = class_buckets(nums, dens, family != "A")
+    kinds = _KINDS[family]
     # B/C/D take the integral class first, then the half-integral one, then the rest
     for key in [k for k in kinds if k in buckets] + [k for k in buckets if k not in kinds]:
         idxs, d = buckets[key], key[1]

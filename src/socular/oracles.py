@@ -21,8 +21,8 @@ The p-dominant weights of a window are generated block by block instead of
 filtered out of the whole window, with their own tail-root test, and
 ``check_socular`` reads GK dimension and the criterion's class shape from one
 GK walk per weight of a rank, not one per setup.
-The fast-against-oracle checks share one runner, :func:`_mismatches`, each
-feeding it a generator of cases.
+The fast-against-oracle checks (collapse, expand, H-algorithm, Richardson)
+share one runner, :func:`_mismatches`, each feeding it a generator of cases.
 """
 
 from fractions import Fraction
@@ -45,6 +45,7 @@ from .partitions import (
     _orbit_input,
     as_partition,
     collapse,
+    expand,
     partitions_of,
 )
 from .richardson import richardson_partition
@@ -374,6 +375,22 @@ def check_collapse(budget: EnumerationBudget) -> list[str]:
         if total % 2 == (family == "B")
     )
     return _mismatches("collapse", collapse, collapse_oracle, cases)
+
+
+def check_expand(budget: EnumerationBudget) -> list[str]:
+    """Compare expand against the oracle on every B/C/D orbit partition up to ``max_total``.
+
+    Library-only: ``socular oracle --check`` does not offer it.
+    """
+    _check_budget(budget)
+    cases = (
+        (p, family)
+        for total in range(budget.max_total + 1)
+        for p in partitions_of(total)
+        for family in ORBIT_FAMILIES
+        if _is_orbit(p, family)
+    )
+    return _mismatches("expand", expand, expand_oracle, cases)
 
 
 def check_richardson(budget: EnumerationBudget) -> list[str]:

@@ -12,7 +12,7 @@ from .errors import DomainError, IntegrityError
 from .gkdim import _gk
 from .hollow import FAMILY_PARITY, _hollow_key
 from .partitions import _transpose
-from .setups import (  # the constructors are re-exported for importers of this module
+from .setups import (  # the constructors and z_type are re-exported for importers of this module
     ParabolicSetup,
     _as_setup,
     dim_nilradical,
@@ -22,7 +22,7 @@ from .setups import (  # the constructors are re-exported for importers of this 
 )
 from .tableaux import rs_shape
 from .weights import integer_entries
-from .zdiagram import z_diagram
+from .zdiagram import _z_shape
 
 
 class SocularCertificate(NamedTuple):
@@ -46,10 +46,11 @@ def _p_dominant(nums: list[int], dens: list[int], setup: ParabolicSetup) -> bool
     a/d - b/e is a positive integer only when d == e and a - b is a positive
     multiple of d; sums alike.
     """
+    excluded = setup.excluded
     for i in range(1, setup.n):
-        if i not in setup.excluded:
-            d = dens[i - 1]
-            if dens[i] != d or not _positive_multiple(nums[i - 1] - nums[i], d):
+        if i not in excluded:
+            d, x = dens[i - 1], nums[i - 1] - nums[i]
+            if dens[i] != d or x <= 0 or x % d:  # x/d a positive integer, inlined
                 return False
     return _tail_dominant(nums, dens, setup)
 
@@ -88,10 +89,10 @@ def is_p_dominant(weight, setup: ParabolicSetup) -> bool:
 def _integral_target(setup: ParabolicSetup):
     """The setup's side of the integral socularity test: the sorted composition
     for A, the hollow key of the Z-diagram for B/C/D."""
+    comp = setup.normalized_composition
     if setup.family == "A":
-        return tuple(sorted(setup.normalized_composition, reverse=True))
-    a0, bs = z_type(setup)
-    return _hollow_key(z_diagram(a0, bs).shape, FAMILY_PARITY[setup.family])
+        return tuple(sorted(comp, reverse=True))
+    return _hollow_key(_z_shape(comp[-1], comp[:-1]), FAMILY_PARITY[setup.family])
 
 
 def _integral_candidate(shape, family: str):

@@ -10,8 +10,8 @@ from typing import NamedTuple
 
 from .errors import FAMILIES, DomainError, IntegrityError
 from .partitions import Partition, _collapse, _transpose, as_partition
-from .setups import ParabolicSetup, _as_setup, z_type
-from .zdiagram import z_diagram
+from .setups import ParabolicSetup, _as_setup
+from .zdiagram import _z_shape
 
 
 class RichardsonResult(NamedTuple):
@@ -26,8 +26,8 @@ def richardson_partition(setup: ParabolicSetup) -> RichardsonResult:
     if family == "A":
         part = _transpose(tuple(sorted(comp, reverse=True)))
         return RichardsonResult(part, very_even=False, numeral=None)
-    tail, blocks = z_type(setup)
-    shape = z_diagram(tail, blocks).shape
+    tail = comp[-1]
+    shape = _z_shape(tail, comp[:-1])
     if family == "B":
         parts = list(shape)
         idx = 2 * tail

@@ -9,6 +9,13 @@ as the normalized composition; dominance tests still use the original excluded
 set, while dim(u), socularity targets and Richardson data use the normalized
 composition.
 
+A setup is consistent by construction.  The two constructors build it
+through ``tuple.__new__`` from fields they derived themselves; a setup built
+by hand, through the class, ``_make`` or ``_replace``, is rebuilt from its
+family, rank and excluded set and refused as a :class:`DomainError` unless
+every field equals the rebuild's.  So the kernels behind a setup, such as the
+Z-diagram shape of its type, run on it unchecked.
+
 This module needs no weight, tableau or hollow diagram, so the subcommands
 that only build a parabolic (``dimu``, ``parabolic``, ``richardson``) load
 none of those.
@@ -21,12 +28,32 @@ from typing import NamedTuple
 from .errors import DomainError, as_tuple, check_family, is_int
 
 
-class ParabolicSetup(NamedTuple):
+class _SetupFields(NamedTuple):
     family: str
     n: int
     excluded: frozenset[int]
     composition: tuple[int, ...]
     normalized_composition: tuple[int, ...]
+
+
+class ParabolicSetup(_SetupFields):
+    """A standard parabolic; see the module docstring for the fields and their check."""
+
+    __slots__ = ()
+
+    def __new__(cls, family, n, excluded, composition, normalized_composition):
+        built = parabolic_from_roots(family, n, excluded)
+        if (composition, normalized_composition) != built[3:]:
+            raise DomainError(
+                f"inconsistent ParabolicSetup: {family}{n} excluding {sorted(built.excluded)} has "
+                f"composition {built.composition} and normalized composition "
+                f"{built.normalized_composition}, got {composition!r} and {normalized_composition!r}"
+            )
+        return built
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _as_setup(setup) -> ParabolicSetup:
@@ -41,7 +68,7 @@ def _setup(family: str, n: int, excluded: frozenset[int], composition: tuple[int
     normalized = composition
     if family == "D" and composition[-1] == 1 and len(composition) >= 2:
         normalized = composition[:-2] + (composition[-2] + 1, 0)
-    return ParabolicSetup(family, n, excluded, composition, normalized)
+    return tuple.__new__(ParabolicSetup, (family, n, excluded, composition, normalized))
 
 
 def parabolic_from_roots(family: str, n: int, excluded) -> ParabolicSetup:
@@ -68,7 +95,7 @@ def parabolic_from_composition(family: str, composition) -> ParabolicSetup:
     if not composition:
         raise DomainError("empty composition")
     for i, v in enumerate(composition):
-        if not is_int(v) or v < 0:
+        if (type(v) is not int and not is_int(v)) or v < 0:  # a plain int skips the call
             raise DomainError(f"composition parts must be non-negative integers: {composition}")
         if v == 0 and (family == "A" or i != len(composition) - 1):
             raise DomainError(f"only the last part of a B/C/D composition may be 0: {composition}")

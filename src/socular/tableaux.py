@@ -6,6 +6,8 @@ the first row that is strictly bigger, so equal entries append.
 
 Column-inserting w_N...w_1 gives the tableau of row-inserting w_1...w_N
 (Knuth 1970; Fulton, *Young Tableaux*, A.2), walking columns instead of rows.
+:func:`rs_shape` tries columns first, since the paper's doubled weights are
+tall; :func:`rs_tableau` and :func:`rs_insert` always insert by rows.
 """
 
 from bisect import bisect_left, bisect_right
@@ -84,21 +86,28 @@ def rs_shape(seq: tuple, den: int = 1) -> Partition:
     ``seq`` that is not a tuple is a :class:`DomainError`, except that an
     unhashable one, such as a list, raises ``TypeError`` from the cache before
     the body runs.
-    A word whose rows come to outnumber twice its columns (p-dominant weights
-    double to a few falling runs) is column-inserted in reverse instead, and
-    row-inserted to the end if its columns then come to outnumber its rows.
+    The word is column-inserted in reverse first, which gives the same
+    tableau (p-dominant weights double to a few falling runs, tall shapes
+    that few columns hold).  If its columns come to outnumber both
+    ``_MIN_LINES`` and twice its rows, it is row-inserted instead, and if its
+    rows then come to outnumber both ``_MIN_LINES`` and its columns, the try
+    that read more of the word before it stopped picks the direction that
+    runs to the end.
     """
     if not isinstance(seq, tuple):
         raise DomainError(f"a word must be a tuple of entries, got {seq!r}")
     if not is_int(den) or den < 1:
         raise DomainError(f"den must be a positive int, got {den!r}")
-    rows = _insert_all([], seq, bisect_right, 2)
-    if rows is not None:
-        return tuple(map(len, rows))
-    cols = _insert_all([], reversed(seq), bisect_left, 1)
-    if cols is not None:
+    cols, rows = [], []
+    if _insert_all(cols, reversed(seq), bisect_left, 2) is not None:
         return _transpose(tuple(map(len, cols)))
-    return tuple(map(len, _insert_all([], seq)))
+    if _insert_all(rows, seq, bisect_right, 1) is not None:
+        return tuple(map(len, rows))
+    # both tries stopped on a prefix of their word; the longer prefix judged
+    # better, so its verdict picks the direction that runs to the end
+    if sum(map(len, cols)) > sum(map(len, rows)):
+        return tuple(map(len, _insert_all([], seq)))
+    return _transpose(tuple(map(len, _insert_all([], reversed(seq), bisect_left))))
 
 
 def render_tableau(tableau: Tableau) -> str:

@@ -4,6 +4,11 @@ A Z-diagram of type (a0; b_1,...,b_{k-1}) stacks, for each b_i, a two-column
 block of b_i horizontal dominoes, plus one column of a0 vertical dominoes;
 the columns are then sorted by height.  Only the column-height multiset
 matters, so the b_i may be given in any order.
+
+:func:`_z_shape` builds the shape alone and checks nothing.  :func:`z_diagram`
+calls it after checking the type; the socularity target and the Richardson
+partition call it on the type of a :class:`~socular.setups.ParabolicSetup`,
+which was checked when the setup was built.
 """
 
 from typing import NamedTuple
@@ -31,16 +36,17 @@ def _check_type(a0, bs) -> tuple[int, tuple[int, ...]]:
     return a0, bs
 
 
+def _z_shape(a0: int, bs) -> Partition:
+    """The shape of the Z-diagram of type (a0; bs), unchecked: the transpose of
+    its column heights 2*a0 and each b twice, a zero height adding no box."""
+    return _transpose(sorted((2 * a0, *bs, *bs), reverse=True))
+
+
 def z_diagram(a0: int, bs) -> ZDiagram:
     """Build the Z-diagram of type (a0; b_1,...,b_{k-1})."""
     a0, bs = _check_type(a0, bs)
-    heights = []
-    if a0 > 0:
-        heights.append(2 * a0)
-    for b in bs:
-        heights.extend((b, b))
-    heights.sort(reverse=True)
-    return ZDiagram(a0=a0, bs=bs, column_heights=tuple(heights), shape=_transpose(tuple(heights)))
+    shape = _z_shape(a0, bs)
+    return ZDiagram(a0=a0, bs=bs, column_heights=_transpose(shape), shape=shape)
 
 
 def z_closed_forms(a0: int, bs) -> tuple[int, int]:

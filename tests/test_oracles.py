@@ -25,7 +25,7 @@ from socular import (
 )
 from socular import oracles, partitions, richardson
 from socular.hollow import FAMILY_PARITY, _hollow_key
-from socular.oracles import check_collapse, check_halg, check_richardson, check_socular, integral_weights
+from socular.oracles import check_collapse, check_expand, check_halg, check_richardson, check_socular, integral_weights
 from socular.parabolic import _p_dominant, z_type
 from socular.partitions import ORBIT_FAMILIES, _dominates, _is_orbit, _is_special, partitions_of
 from socular.richardson import RichardsonResult
@@ -101,7 +101,7 @@ def test_budget_rank_guard():
         socular_enumeration(setup, EnumerationBudget(max_n=3))
 
 
-@pytest.mark.parametrize("check", [check_collapse, check_halg, check_socular, check_richardson])
+@pytest.mark.parametrize("check", [check_collapse, check_expand, check_halg, check_socular, check_richardson])
 @pytest.mark.parametrize(
     "budget, field",
     [(EnumerationBudget(max_total=-3), "max_total"), (EnumerationBudget(max_n=0), "max_n")],
@@ -114,7 +114,11 @@ def test_checks_refuse_a_budget_that_compares_nothing(check, budget, field):
 def test_checks_accept_the_smallest_budget():
     smallest = EnumerationBudget(max_total=0, entry_window=(0, 0), max_n=1)
     assert check_collapse(smallest) == check_halg(smallest) == check_socular(smallest) == []
-    assert check_richardson(smallest) == []
+    assert check_richardson(smallest) == check_expand(smallest) == []
+
+
+def test_check_expand_agrees_at_the_default_budget():
+    assert check_expand(EnumerationBudget()) == []
 
 
 @pytest.mark.parametrize("families", [("A", "D"), ()])
@@ -197,7 +201,9 @@ def _enumerate_b1(budget):
     return socular_enumeration(parabolic_from_composition("B", (1,)), budget)
 
 
-@pytest.mark.parametrize("check", [check_collapse, check_halg, check_socular, check_richardson, _enumerate_b1])
+@pytest.mark.parametrize(
+    "check", [check_collapse, check_expand, check_halg, check_socular, check_richardson, _enumerate_b1]
+)
 @pytest.mark.parametrize(
     "budget, field",
     [
@@ -309,6 +315,7 @@ def test_check_halg_enumerates_each_total_and_family_once(monkeypatch):
 WRONG_FAST = {
     "collapse": ("collapse", lambda p, family: (99,), check_collapse, "collapse () C: (99,) != oracle ()"),
     "halg": ("h_algorithm", lambda p, family: (99,), check_halg, "halg () B: (99,) != oracle (1,)"),
+    "expand": ("expand", lambda p, family: (99,), check_expand, "expand () C: (99,) != oracle ()"),
     "richardson": (
         "richardson_partition",
         lambda setup: RichardsonResult((99,), False, None),

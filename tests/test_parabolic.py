@@ -26,7 +26,7 @@ from socular import (
 
 from socular.cli import run
 from socular.oracles import _all_setups
-from socular.parabolic import z_type
+from socular.parabolic import ParabolicSetup, z_type
 
 from helpers import levi_positive_root_count
 
@@ -124,6 +124,58 @@ def test_from_composition_validation():
         parabolic_from_composition("A", (2, 0))
     with pytest.raises(DomainError):
         parabolic_from_composition("C", ())
+
+
+# hand-built setups whose fields disagree with what the constructors derive
+BAD_SETUPS = {
+    "zero-block-in-normalized": ("B", 3, {1}, (1, 2), (1, 0, 2)),
+    "negative-normalized-part": ("C", 3, frozenset(), (3,), (-1, 3)),
+    "composition-not-summing-to-n": ("B", 3, frozenset(), (4,), (4,)),
+    "composition-not-the-cuts": ("A", 4, frozenset({1}), (2, 2), (2, 2)),
+    "D-tail-one-not-normalized": ("D", 5, frozenset({4}), (4, 1), (4, 1)),
+    "D-normalization-in-B": ("B", 5, frozenset({4}), (4, 1), (5, 0)),
+    "composition-a-list": ("B", 3, frozenset(), [3], (3,)),
+    "unknown-family": ("E", 3, frozenset(), (3,), (3,)),
+    "rank-a-bool": ("B", True, frozenset(), (1,), (1,)),
+    "root-past-the-rank": ("B", 3, frozenset({4}), (3, 0), (3, 0)),
+    "excluded-not-a-collection": ("B", 3, 5, (3,), (3,)),
+}
+
+
+@pytest.mark.parametrize("fields", BAD_SETUPS.values(), ids=BAD_SETUPS)
+def test_an_inconsistent_setup_is_refused_when_built(fields):
+    with pytest.raises(DomainError):
+        ParabolicSetup(*fields)
+    with pytest.raises(DomainError):
+        ParabolicSetup._make(fields)
+    good = parabolic_from_composition("B", (1, 2))
+    with pytest.raises(DomainError):
+        good._replace(**dict(zip(ParabolicSetup._fields, fields)))
+
+
+def test_a_consistent_setup_built_by_hand_is_the_constructors():
+    for family in "ABCD":
+        for setup in _all_setups(family, 4):
+            fields = [*setup]
+            fields[2] = set(setup.excluded)  # any collection of the roots
+            again = ParabolicSetup(*fields)
+            assert again == setup and type(again.excluded) is frozenset
+            assert ParabolicSetup._make(setup) == setup._replace() == setup
+    message = (
+        "inconsistent ParabolicSetup: C3 excluding [] has composition (3,) "
+        "and normalized composition (3,), got (3,) and (-1, 3)"
+    )
+    with pytest.raises(DomainError, match=re.escape(message)):
+        ParabolicSetup("C", 3, frozenset(), (3,), (-1, 3))
+
+
+def test_the_constructors_skip_the_construction_check(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a constructor ran the check meant for hand-built setups")
+
+    monkeypatch.setattr(ParabolicSetup, "__new__", refuse)
+    assert parabolic_from_composition("D", (4, 1)).normalized_composition == (5, 0)
+    assert parabolic_from_roots("B", 3, {1}).composition == (1, 2)
 
 
 def test_dim_nilradical_examples():

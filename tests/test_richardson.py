@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from socular import (
     DomainError,
@@ -9,6 +11,7 @@ from socular import (
     is_special,
     orbit_dimension,
     parabolic_from_composition,
+    parabolic_from_roots,
     richardson_partition,
     z_diagram,
 )
@@ -112,3 +115,24 @@ def test_richardson_dim_is_twice_dim_u_smoke():
         for setup in _all_setups(family, 4):
             part = richardson_partition(setup).partition
             assert orbit_dimension(part, family) == 2 * dim_nilradical(setup)
+
+
+@st.composite
+def _setups_at_rank(draw):
+    """A parabolic of rank 64-200, with up to 24 excluded roots anywhere, the tail root included."""
+    family = draw(st.sampled_from("ABCD"))
+    n = draw(st.integers(64, 200))
+    top = n - 1 if family == "A" else n
+    return parabolic_from_roots(family, n, draw(st.sets(st.integers(1, top), max_size=24)))
+
+
+@seed(2202)
+@settings(max_examples=120, deadline=None, database=None)
+@given(setup=_setups_at_rank())
+def test_richardson_identities_at_rank(setup):
+    family, n = setup.family, setup.n
+    part = richardson_partition(setup).partition
+    assert sum(part) == {"A": n, "B": 2 * n + 1}.get(family, 2 * n)
+    assert orbit_dimension(part, family) == 2 * dim_nilradical(setup)
+    if family != "A":
+        assert is_orbit_partition(part, family) and is_special(part, family)

@@ -1,5 +1,6 @@
+import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import pytest
@@ -198,28 +199,44 @@ def test_both_insertion_directions_give_the_tableau_shape(seq):
     assert rs_shape(seq) == want
 
 
-def test_both_insertions_give_up_on_a_rising_sawtooth():
-    # blocks of 12 falling inside and rising from block to block: the first
-    # block alone makes the rows outnumber twice the columns, but the whole
-    # shape is 12 rows of 21 or 22, wide enough to stop the column insertion
+def _falling_sawtooth(n, block, fall):
+    """Blocks of ``block`` entries rising by one inside, each block ``fall`` below the last."""
+    return tuple(i % block - (i // block) * fall for i in range(n))
+
+
+def test_a_short_rising_sawtooth_stays_on_the_columns():
+    # blocks of 12 falling inside and rising from block to block: 12 rows of
+    # 21 or 22, so 22 columns never outnumber twice the 12 rows
     saw = _sawtooth(256, 12, 13)
-    assert _insert_all([], saw, ratio=2) is None
-    assert _insert_all([], reversed(saw), bisect_left, 1) is None
+    assert _insert_all([], reversed(saw), bisect_left, 2) is not None
     rs_shape.cache_clear()
     assert rs_shape(saw) == shape(rs_tableau(saw)) == (22,) * 4 + (21,) * 8
 
 
-def test_short_sawtooth_blocks_never_leave_the_rows():
+def test_both_tries_stop_on_a_long_rising_sawtooth_and_rows_finish():
+    # at 2048 entries the 171 columns outnumber twice the 12 rows, and the row
+    # try stops within the first falling block; the column try read more of
+    # the word, so the rows, which are few, run to the end
+    saw = _sawtooth(2048, 12, 13)
+    cols, rows = [], []
+    assert _insert_all(cols, reversed(saw), bisect_left, 2) is None
+    assert _insert_all(rows, saw, bisect_right, 1) is None
+    assert sum(map(len, cols)) > sum(map(len, rows))
+    rs_shape.cache_clear()
+    assert rs_shape(saw) == _row_shape(saw) == (171,) * 8 + (170,) * 4
+
+
+def test_short_sawtooth_blocks_leave_the_columns_for_the_rows():
     saw = _sawtooth(256, 4, 5)
-    assert _insert_all([], saw, ratio=2) is not None
+    assert _insert_all([], reversed(saw), bisect_left, 2) is None
+    assert _insert_all([], saw, bisect_right, 1) is not None
     assert rs_shape(saw) == (64, 64, 64, 64)
 
 
-def test_a_doubled_dominant_weight_is_column_inserted_to_the_end():
+def test_a_doubled_dominant_weight_never_leaves_the_columns():
     # four falling blocks of 64 double to eight falling runs: at most 8 columns
     seq = double(tuple(start - j for start in (0, 300, 100, 400) for j in range(64)))
-    assert _insert_all([], seq, ratio=2) is None
-    cols = _insert_all([], reversed(seq), bisect_left, 1)
+    cols = _insert_all([], reversed(seq), bisect_left, 2)
     assert cols is not None and len(cols) <= 8 and len(cols[0]) >= 64
     rs_shape.cache_clear()
     assert rs_shape(seq) == _transpose(tuple(map(len, cols))) == shape(rs_tableau(seq))
@@ -229,6 +246,50 @@ def test_random_words_stay_on_the_rows():
     rng = random.Random(41)
     words = [tuple(rng.randint(-500, 500) for _ in range(n)) for n in (32, 128, 512) for _ in range(10)]
     assert all(_insert_all([], seq, ratio=2) is not None for seq in words)
+
+
+def test_random_words_stay_on_the_columns():
+    rng = random.Random(43)
+    words = [tuple(rng.randint(-500, 500) for _ in range(n)) for n in (32, 128, 512) for _ in range(10)]
+    assert all(_insert_all([], reversed(seq), bisect_left, 2) is not None for seq in words)
+
+
+class _Counted:
+    """An entry that counts the comparisons made on it; bisect compares by ``<`` only."""
+
+    calls = 0
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = v
+
+    def __lt__(self, other):
+        _Counted.calls += 1
+        return self.v < other.v
+
+
+_N = 2048
+# words whose shape has one side of at most 12 lines; the falling sawtooth is
+# the mirror of the rising one, so each direction meets one of them second
+NO_CLIFF = {
+    "rising": tuple(range(_N)),
+    "falling": tuple(range(_N, 0, -1)),
+    "rising-sawtooth": _sawtooth(_N, 12, 13),
+    "falling-sawtooth": _falling_sawtooth(_N, 12, 13),
+    "doubled-dominant": double(tuple(s - j for s in (0, 3000, 1000, 4000) for j in range(_N // 8))),
+}
+
+
+@pytest.mark.parametrize("name", NO_CLIFF)
+def test_rs_shape_has_no_cliff(name):
+    # an insertion in the wrong direction walks hundreds of lines a value, about
+    # 30 N log2 N comparisons on the sawtooths; every word here takes under 5
+    seq = NO_CLIFF[name]
+    _Counted.calls = 0
+    rs_shape.cache_clear()
+    got = rs_shape(tuple(map(_Counted, seq)))
+    assert _Counted.calls <= 8 * _N * math.log2(_N), _Counted.calls
+    assert got == _row_shape(seq)
 
 
 def test_render():

@@ -1,9 +1,12 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from socular import DomainError, f_stat, is_domino_type, z_closed_forms, z_diagram
+from socular.zdiagram import _z_shape
 
 
 GOLDEN_SHAPES = {
@@ -28,6 +31,38 @@ def test_golden_shapes(ztype, shape):
 def test_column_heights():
     zd = z_diagram(4, (1, 3))
     assert zd.column_heights == (8, 3, 3, 1, 1)
+
+
+def _shape_by_column_count(a0, bs):
+    """Row i of a Z-diagram holds one box per column taller than i: 2*a0 once, each b twice."""
+    heights = [2 * a0] + [b for b in bs for _ in "bb"]
+    return tuple(sum(h > i for h in heights) for i in range(max(heights)))
+
+
+def test_z_shape_is_the_column_count_of_every_small_type():
+    types = 0
+    for a0, k in product(range(6), range(4)):
+        for bs in product(range(1, 6), repeat=k):
+            if a0 == 0 and not bs:
+                continue
+            want = _shape_by_column_count(a0, bs)
+            zd = z_diagram(a0, bs)
+            assert _z_shape(a0, bs) == zd.shape == want, (a0, bs)
+            assert zd.column_heights == tuple(sorted([2 * a0] * (a0 > 0) + [*bs, *bs], reverse=True))
+            types += 1
+    assert types == 6 * (1 + 5 + 25 + 125) - 1
+
+
+@seed(2201)
+@settings(max_examples=80, deadline=None, database=None)
+@given(a0=st.integers(0, 200), bs=st.lists(st.integers(1, 200), max_size=12))
+def test_closed_forms_match_f_stat_at_rank(a0, bs):
+    # a0 + sum(bs) is the rank of the parabolic: up to 200 and beyond
+    if a0 == 0 and not bs:
+        return
+    shape = _z_shape(a0, bs)
+    assert shape == _shape_by_column_count(a0, bs)
+    assert z_closed_forms(a0, bs) == (f_stat(shape, "b"), f_stat(shape, "d"))
 
 
 def test_closed_forms_examples():
