@@ -86,18 +86,20 @@ def rs_shape(seq: tuple, den: int = 1) -> Partition:
     ``seq`` that is not a tuple is a :class:`DomainError`, except that an
     unhashable one, such as a list, raises ``TypeError`` from the cache before
     the body runs.
-    The word is column-inserted in reverse first, which gives the same
-    tableau (p-dominant weights double to a few falling runs, tall shapes
-    that few columns hold).  If its columns come to outnumber both
-    ``_MIN_LINES`` and twice its rows, it is row-inserted instead, and if its
-    rows then come to outnumber both ``_MIN_LINES`` and its columns, the try
-    that read more of the word before it stopped picks the direction that
-    runs to the end.
+    A word of at most ``_MIN_LINES`` entries is row-inserted.  A longer word
+    is column-inserted in reverse first, which gives the same tableau
+    (p-dominant weights double to a few falling runs, tall shapes that few
+    columns hold).  If its columns come to outnumber both ``_MIN_LINES`` and
+    twice its rows, it is row-inserted instead, and if its rows then come to
+    outnumber both ``_MIN_LINES`` and its columns, the try that read more of
+    the word before it stopped picks the direction that runs to the end.
     """
     if not isinstance(seq, tuple):
         raise DomainError(f"a word must be a tuple of entries, got {seq!r}")
     if not is_int(den) or den < 1:
         raise DomainError(f"den must be a positive int, got {den!r}")
+    if len(seq) <= _MIN_LINES:  # no try stops a word this short, and rows need no transpose
+        return tuple(map(len, _insert_all([], seq)))
     cols, rows = [], []
     if _insert_all(cols, reversed(seq), bisect_left, 2) is not None:
         return _transpose(tuple(map(len, cols)))

@@ -21,6 +21,8 @@ from socular import gkdim, parabolic, partitions, tableaux, zdiagram
 from socular.oracles import EnumerationBudget, check_expand, check_socular
 
 SMALL = EnumerationBudget(max_total=8, entry_window=(-2, 2), max_n=2)
+# rank 5 doubles to words of 10 entries: rs_shape row-inserts words of at most 8
+LONG_WORDS = EnumerationBudget(max_total=8, entry_window=(-1, 1), max_n=5)
 
 # kernel, the text its source must hold once, the text that replaces it, the killer
 MUTANTS = {
@@ -41,7 +43,7 @@ MUTANTS = {
         tableaux.rs_shape,
         "return _transpose(tuple(map(len, cols)))",
         "return tuple(map(len, cols))",
-        lambda: check_socular(SMALL),
+        lambda: check_socular(LONG_WORDS),
     ),
     "half-integral-class-keyed-0-2": (
         gkdim._classes,
