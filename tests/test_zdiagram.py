@@ -35,7 +35,7 @@ def test_column_heights():
 
 def _shape_by_column_count(a0, bs):
     """Row i of a Z-diagram holds one box per column taller than i: 2*a0 once, each b twice."""
-    heights = [2 * a0] + [b for b in bs for _ in "bb"]
+    heights = [2 * a0] + [h for b in bs for h in (b, b)]
     return tuple(sum(h > i for h in heights) for i in range(max(heights)))
 
 
@@ -57,7 +57,7 @@ def test_z_shape_is_the_column_count_of_every_small_type():
 @settings(max_examples=80, deadline=None, database=None)
 @given(a0=st.integers(0, 200), bs=st.lists(st.integers(1, 200), max_size=12))
 def test_closed_forms_match_f_stat_at_rank(a0, bs):
-    # a0 + sum(bs) is the rank of the parabolic: up to 200 and beyond
+    # the rank of a parabolic with this Z-diagram type is a0 + sum(bs), here up to 2,600
     if a0 == 0 and not bs:
         return
     shape = _z_shape(a0, bs)
