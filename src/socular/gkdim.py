@@ -7,8 +7,10 @@ reduces to n^2 - F_b(lambda^-) (B, C) and n^2 - n - F_d(lambda^-) (D).
 
 The computation runs on integers: every class is a sequence of numerators
 over one denominator d, and ``rs_shape`` gets d only when d > 1, where it
-only keys the cache.  One walk over the classes looks each shape up once,
-and the GK sum, the breakdown and the socularity criterion all read it.
+only keys the cache.  One walk over the classes returns them as a list and
+looks each shape up once; the GK sum, the breakdown and the socularity
+criterion all read it.  The public entries check the family and the rank once,
+after reading the weight; the walk (``_classes``, ``_gk``) is unchecked.
 """
 
 from .errors import FAMILIES, as_tuple, check_family  # FAMILIES: re-exported for importers of this module
@@ -32,31 +34,36 @@ def _ambient(family: str, n: int) -> int:
     return n * n - (n if family == "D" else 0)
 
 
-def _classes(nums: list[int], dens: list[int], family: str):
+def _classes(nums: list[int], dens: list[int], family: str) -> list:
     """Each congruence class in formula order, as ``(positions, d, kind, seq, shape)``:
     its 0-based positions, denominator, statistic kind, the numerators it inserts
     and their shape, the class's one :func:`rs_shape` lookup, which gets d only
     when d > 1, so that the class keys apart from an integral one.
 
-    An all-integral or all-half-integral weight is one class and skips the
-    bucketing.
+    Returns the classes as a list, built in one loop.  An all-integral or
+    all-half-integral weight is one class and skips the bucketing.
     """
     n = len(nums)
     d = dens[0]
+    kinds = _KINDS[family]
     if d <= 2 and dens.count(d) == n:  # the one class (0, 1) or (1, 2)
-        buckets = {(d - 1, d): range(n)}
+        order = [((d - 1, d), range(n))]
     else:
         buckets = class_buckets(nums, dens, family != "A")
-    kinds = _KINDS[family]
-    # B/C/D take the integral class first, then the half-integral one, then the rest
-    for key in [k for k in kinds if k in buckets] + [k for k in buckets if k not in kinds]:
-        idxs, d = buckets[key], key[1]
+        # B/C/D take the integral class first, then the half-integral one, then the rest
+        order = [(k, buckets[k]) for k in kinds if k in buckets]
+        order += [(k, idxs) for k, idxs in buckets.items() if k not in kinds]
+    classes = []
+    for key, idxs in order:
+        d = key[1]
         vals = nums if len(idxs) == n else [nums[i] for i in idxs]
-        if key in kinds:
-            kind, seq = kinds[key], double(vals)
-        else:
+        kind = kinds.get(key)
+        if kind is None:
             kind, seq = "a", tuple(vals) if family == "A" else tilde_numerators(vals, d)
-        yield idxs, d, kind, seq, rs_shape(seq) if d == 1 else rs_shape(seq, d)
+        else:
+            seq = double(vals)
+        classes.append((idxs, d, kind, seq, rs_shape(seq) if d == 1 else rs_shape(seq, d)))
+    return classes
 
 
 def _fmt(x: int, d: int) -> str:
@@ -65,12 +72,13 @@ def _fmt(x: int, d: int) -> str:
 
 def _gk(nums: list[int], dens: list[int], family: str) -> tuple[int, int, list]:
     """(GK dimension, ambient dimension, classes) of the weight ``integer_entries``
-    read as ``nums, dens``, with the classes as :func:`_classes` yields them."""
-    n = len(nums)
-    check_family(family, n)
-    ambient = _ambient(family, n)
-    classes = list(_classes(nums, dens, family))
-    return ambient - sum(_f_stat(sh, kind) for _, _, kind, _, sh in classes), ambient, classes
+    read as ``nums, dens``, with the classes as :func:`_classes` returns them;
+    unchecked: the family and the rank ``len(nums)`` must have passed ``check_family``."""
+    ambient = gk = _ambient(family, len(nums))
+    classes = _classes(nums, dens, family)
+    for _, _, kind, _, sh in classes:
+        gk -= _f_stat(sh, kind)
+    return gk, ambient, classes
 
 
 def f_stat_sequence(seq, kind: str) -> int:
@@ -86,6 +94,7 @@ def gk_breakdown(weight, family: str) -> dict:
     and the subtracted amount.
     """
     nums, dens = integer_entries(weight)
+    check_family(family, len(nums))
     gk, ambient, classes = _gk(nums, dens, family)
     records = [
         {
@@ -103,4 +112,6 @@ def gk_breakdown(weight, family: str) -> dict:
 
 def gk_dimension(weight, family: str) -> int:
     """GK dimension of L(lambda) for lambda = ``weight`` in the given family."""
-    return _gk(*integer_entries(weight), family)[0]
+    nums, dens = integer_entries(weight)
+    check_family(family, len(nums))
+    return _gk(nums, dens, family)[0]

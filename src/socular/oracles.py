@@ -437,7 +437,7 @@ def check_socular(budget: EnumerationBudget, families=FAMILIES) -> list[str]:
                 continue
             compared += 1
             for w in dominant:
-                if w not in facts:
+                if w not in facts:  # a built setup's family and rank: the unchecked walk
                     gk, _, classes = _gk(list(w), ones, family)
                     facts[w] = gk, _integral_candidate(classes[0][4], family)
             best = max(facts[w][0] for w in dominant)

@@ -116,6 +116,8 @@ def is_socular(weight, setup: ParabolicSetup) -> SocularCertificate:
     nums, dens = _read(weight, setup)
     if not _p_dominant(nums, dens, setup):
         raise DomainError("L(lambda) not in O^p: weight is not p-dominant")
+    # the setup was checked when built and _read matched the weight to its rank,
+    # so the unchecked GK walk needs no family check of its own
     gk, _, classes = _gk(nums, dens, setup.family)
     du = dim_nilradical(setup)
     candidate = target = None

@@ -14,7 +14,7 @@ from collections.abc import Iterable, Iterator
 from itertools import accumulate
 from operator import ge
 
-from .errors import DomainError, _DigitLimit, as_tuple, is_int, read_int
+from .errors import DomainError, IntegrityError, _DigitLimit, as_tuple, is_int, read_int
 
 ORBIT_FAMILIES = ("B", "C", "D")
 
@@ -170,6 +170,8 @@ def _collapse(parts: list[int], family: str) -> Partition:
         if q % 2 != odd or (end - k) % 2 == 0:
             k = end
             continue
+        if q == 1:  # a bad block of 1s (C only) is left by an odd total alone
+            raise IntegrityError(f"type C collapse of a partition with odd total {sum(parts)}")
         parts[end - 1] = q - 1
         # the next part strictly below q-1, or a new part 1 past the end
         k = end

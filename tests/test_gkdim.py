@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socular import (
-    DomainError,
     double,
     f_stat,
     gk_breakdown,
@@ -38,13 +37,31 @@ def test_type_a_example():
     assert gk_dimension((2, 1, 3), "A") == 2
 
 
+# a bad weight or family, and the DomainError message both GK entries give for it;
+# the entries are read before the family and rank are checked, so an entry error wins
+BAD_GK_INPUTS = [
+    ((1, 2), "E", "family must be one of ('A', 'B', 'C', 'D'), got 'E'"),
+    ((1,), "A", "family A needs n >= 2, got n=1"),
+    ((1,), "D", "family D needs n >= 2, got n=1"),
+    ((), "B", "rank must be positive"),
+    ((1.5, 2), "E", "weight entries must be ints or Fractions, got 1.5"),
+    (5, "E", "a weight must be a sequence of entries, got 5"),
+]
+
+
+def _refusal(entry, weight, family):
+    """(exception type name, message) of ``entry(weight, family)``, or None if it returns."""
+    try:
+        entry(weight, family)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
 def test_family_validation():
-    with pytest.raises(DomainError):
-        gk_dimension((1,), "E")
-    with pytest.raises(DomainError):
-        gk_dimension((1,), "A")
-    with pytest.raises(DomainError):
-        gk_dimension((1,), "D")
+    for weight, family, message in BAD_GK_INPUTS:
+        for entry in (gk_dimension, gk_breakdown):
+            assert _refusal(entry, weight, family) == ("DomainError", message), (entry, weight, family)
 
 
 def _integral_formula(weight, family):

@@ -36,7 +36,7 @@ MUTANTS = {
         zdiagram._z_shape,
         "(2 * a0, *bs, *bs)",
         "(2 * a0, *bs)",
-        # not check_richardson: the collapse kernel never ends on the odd totals this gives C and D
+        # not check_richardson: the odd C totals this gives stop the collapse kernel with an IntegrityError
         lambda: check_socular(SMALL),
     ),
     "rs-shape-columns-untransposed": (
@@ -47,9 +47,15 @@ MUTANTS = {
     ),
     "half-integral-class-keyed-0-2": (
         gkdim._classes,
-        "{(d - 1, d): range(n)}",
-        "{(0, d): range(n)}",
+        "[((d - 1, d), range(n))]",
+        "[((0, d), range(n))]",
         test_gkdim.test_classes_over_different_denominators_keep_apart_in_the_cache,
+    ),
+    "gk-dimension-skips-the-family-check": (
+        gkdim.gk_dimension,
+        "check_family(family, len(nums))",
+        "None",
+        test_gkdim.test_family_validation,
     ),
     "expand-collapses-in-its-own-family": (
         partitions.expand,

@@ -142,6 +142,27 @@ def test_collapse_parity_error():
         collapse((3,), "C")
 
 
+def test_collapse_kernel_refuses_an_odd_total_for_c():
+    # the kernel trusts its caller's parity check; a kernel that loops on an odd C
+    # total must fail the test, not hang the suite, so it runs in a child with a deadline
+    code = (
+        "from socular.errors import IntegrityError\n"
+        "from socular.partitions import _collapse\n"
+        "for p in ([2, 1], [1]):\n"
+        "    try:\n"
+        "        _collapse(p, 'C')\n"
+        "    except IntegrityError as exc:\n"
+        "        print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(socular.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "type C collapse of a partition with odd total 3",
+        "type C collapse of a partition with odd total 1",
+    ]
+
+
 def test_collapse_properties():
     for p in all_partitions(12):
         for family in ORBIT_FAMILIES:
