@@ -82,7 +82,7 @@ def hollow(p, parity: str) -> HollowShape:
 def f_stat(shape, kind: str) -> int:
     """The invariants F_a, F_b, F_d of a shape (a partition), as selected by ``kind``.
 
-    F_a = sum over columns of c(c-1)/2;
+    F_a = sum over columns of c(c-1)/2, computed as its row form, sum over rows of (i-1) * p_i;
     F_b = sum over rows of (i-1) * p_i^odd;
     F_d = sum over rows of (i-1) * p_i^ev.
     """
@@ -92,11 +92,10 @@ def f_stat(shape, kind: str) -> int:
 
 
 def _f_stat(sh: Partition, kind: str) -> int:
-    """:func:`f_stat` of a canonical partition and a valid kind, unchecked."""
-    if kind == "a":
-        return sum(c * (c - 1) // 2 for c in _transpose(sh))
+    """:func:`f_stat` of a canonical partition and a valid kind, unchecked.  Every kind is
+    a row form, sum (i-1) * r_i; F_a reads r_i = p_i, not its column form sum c(c-1)/2."""
     total = i = 0
-    for c in _row_counts(sh, "odd" if kind == "b" else "even"):
+    for c in sh if kind == "a" else _row_counts(sh, "odd" if kind == "b" else "even"):
         total += i * c
         i += 1
     return total

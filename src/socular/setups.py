@@ -114,10 +114,15 @@ def dim_nilradical(setup: ParabolicSetup) -> int:
     """dim(u) for the nilradical of the parabolic, via the Levi root count."""
     n = _as_setup(setup).n
     comp = setup.normalized_composition
+    levi = 0
     if setup.family == "A":
-        return (n * n - sum(v * v for v in comp)) // 2
-    blocks, tail = comp[:-1], comp[-1]
-    levi = sum(b * (b - 1) for b in blocks) // 2 + tail * tail
+        for v in comp:
+            levi += v * v
+        return (n * n - levi) // 2
+    tail = comp[-1]
+    for b in comp[:-1]:
+        levi += b * (b - 1)
+    levi = levi // 2 + tail * tail
     if setup.family == "D":
         levi -= tail
         return n * n - n - levi

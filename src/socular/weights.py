@@ -91,17 +91,22 @@ def _residue(f: Fraction) -> tuple[int, int]:
 
 def integer_entries(weight) -> tuple[list[int], list[int]]:
     """The numerators and the denominators of a weight's entries, each checked to be an
-    int (not a bool) or a Fraction: the one weight reader the other modules use."""
+    int (not a bool) or a Fraction: the one weight reader the other modules use.  An all-int
+    weight is itself over 1; any other takes one ``as_integer_ratio()`` read per entry."""
     w = as_tuple(weight, _SEQUENCE_RULE)
-    ints = True
     for v in w:
         if type(v) is not int:
-            ints = False
-            if type(v) is not Fraction:  # the common types skip the call
-                _exact(v)
-    if ints:  # an int is its own numerator over 1
+            break
+    else:  # an int is its own numerator over 1
         return list(w), [1] * len(w)
-    return [v.numerator for v in w], [v.denominator for v in w]
+    nums, dens = [], []
+    for v in w:
+        if type(v) is not Fraction and type(v) is not int:  # the common types skip the call
+            _exact(v)
+        n, d = v.as_integer_ratio()
+        nums.append(n)
+        dens.append(d)
+    return nums, dens
 
 
 def class_buckets(nums: list[int], dens: list[int], fold: bool) -> dict[tuple[int, int], list[int]]:
@@ -170,11 +175,6 @@ def congruence_decompose(weight, grouping: str) -> CongruenceSplit:
     return CongruenceSplit(grouping, integral, half, tuple(classes.values()))
 
 
-def _tilde(vals, residue) -> tuple:
-    lead = residue(vals[0])
-    return tuple([v for v in vals if residue(v) == lead] + [-v for v in reversed(vals) if residue(v) != lead])
-
-
 def tilde(values) -> tuple:
     """Rewrite one non-integral difference-or-sum class as an integral-difference sequence.
 
@@ -182,12 +182,16 @@ def tilde(values) -> tuple:
     the remaining entries are negated and appended in reversed order.
     """
     vals = tuple(map(_as_fraction, as_tuple(values, _SEQUENCE_RULE)))
-    return _tilde(vals, _residue) if vals else ()
+    if not vals:
+        return ()
+    lead = _residue(vals[0])
+    return tuple([v for v in vals if _residue(v) == lead] + [-v for v in reversed(vals) if _residue(v) != lead])
 
 
 def tilde_numerators(nums, d: int) -> tuple[int, ...]:
     """:func:`tilde` on the numerators of a class whose entries share the denominator ``d``."""
-    return _tilde(nums, lambda x: x % d)
+    lead = nums[0] % d
+    return tuple([x for x in nums if x % d == lead] + [-x for x in reversed(nums) if x % d != lead])
 
 
 def is_integral(weight) -> bool:

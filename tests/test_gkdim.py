@@ -5,7 +5,7 @@ from math import gcd
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from socular import (
@@ -241,6 +241,18 @@ def test_gk_agrees_with_oracle_and_breakdown_on_mixed_weights(family, data):
     want = gk_dimension_oracle(w, family)
     assert gk_dimension(w, family) == want
     assert gk_breakdown(w, family)["gkdim"] == want
+
+
+@seed(2402)
+@settings(max_examples=40, deadline=None, database=None)
+@given(family=st.sampled_from("ABCD"), data=st.data())
+def test_gk_dimension_is_bounded_at_rank(family, data):
+    n = data.draw(st.integers(64, 200), label="rank")
+    w = tuple(data.draw(st.lists(_ENTRY, min_size=n, max_size=n), label="weight"))
+    ambient = {"A": n * (n - 1) // 2, "D": n * n - n}.get(family, n * n)
+    gk = gk_dimension(w, family)
+    assert 0 <= gk <= ambient
+    assert gk_breakdown(w, family)["gkdim"] == gk
 
 
 def test_breakdown_golden_record():

@@ -1,6 +1,16 @@
 import pytest
 
-from socular import DomainError, f_stat, f_stat_sequence, hollow, parity_profile, partitions_of, render_diagram, render_hollow
+from socular import (
+    DomainError,
+    f_stat,
+    f_stat_sequence,
+    hollow,
+    parity_profile,
+    partitions_of,
+    render_diagram,
+    render_hollow,
+    transpose,
+)
 from socular.hollow import _hollow_key, f_stat_column_form
 
 from helpers import all_partitions
@@ -111,9 +121,9 @@ def test_row_form_equals_column_form():
 
 
 def test_f_stat_a_row_form():
-    # F_a = sum (k-1) p_k is the row form of the column expression
+    # the kernel sums the row form (k-1) p_k; check it against the column definition
     for p in all_partitions(14):
-        assert f_stat(p, "a") == sum((k - 1) * v for k, v in enumerate(p, 1))
+        assert f_stat(p, "a") == sum(c * (c - 1) // 2 for c in transpose(p))
 
 
 def test_render_diagram_paper_figure():

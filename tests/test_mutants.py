@@ -10,15 +10,21 @@ that, the killer must pass on the real kernel, so that a row proves a catch
 and not a killer that always fails.
 """
 
+import importlib
 import inspect
 import sys
 
 import pytest
 
 import test_gkdim
+import test_hollow
 import test_parabolic
 from socular import gkdim, parabolic, partitions, tableaux, zdiagram
 from socular.oracles import EnumerationBudget, check_expand, check_socular
+
+# ``from socular import hollow`` binds the function, not the module
+hollow = importlib.import_module("socular.hollow")
+weights = importlib.import_module("socular.weights")
 
 SMALL = EnumerationBudget(max_total=8, entry_window=(-2, 2), max_n=2)
 # rank 5 doubles to words of 10 entries: rs_shape row-inserts words of at most 8
@@ -62,6 +68,30 @@ MUTANTS = {
         "_collapse(list(q), dual)",
         "_collapse(list(q), family)",
         lambda: check_expand(SMALL),
+    ),
+    "tilde-leaves-the-other-residue-unnegated": (
+        weights.tilde_numerators,
+        "[-x for x in reversed(nums)",
+        "[x for x in reversed(nums)",
+        test_gkdim.test_breakdown_golden_record,
+    ),
+    "integer-entries-drops-the-denominator": (
+        weights.integer_entries,
+        "dens.append(d)",
+        "dens.append(1)",
+        test_gkdim.test_breakdown_golden_record,
+    ),
+    "f-stat-counts-rows-from-1": (
+        hollow._f_stat,
+        "total = i = 0",
+        "total, i = 0, 1",
+        test_hollow.test_f_stat_a_row_form,
+    ),
+    "class-buckets-never-fold": (
+        weights.class_buckets,
+        "2 * r > d",
+        "r > d",
+        test_gkdim.test_breakdown_golden_record,
     ),
 }
 

@@ -399,3 +399,26 @@ def test_library_modules_read_every_name_they_import():
     paths = sorted((ROOT / "src" / "socular").glob("*.py"))
     assert len(paths) > 10
     assert [name for path in paths for name in _unused_imports(path)] == []
+
+
+def _inexact_nodes(path: Path) -> list[str]:
+    """Each float literal, use of the name ``float`` and true division in a module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            what = f"float literal {node.value!r}"
+        elif isinstance(node, ast.Name) and node.id == "float":
+            what = "the name float"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            what = "true division"
+        else:
+            continue
+        found.append(f"{path.name}:{node.lineno}: {what}")
+    return found
+
+
+def test_library_modules_use_no_floats():
+    # arithmetic stays exact: no float literal, no float(), no true division
+    paths = sorted((ROOT / "src" / "socular").glob("*.py"))
+    assert len(paths) > 10
+    assert [line for path in paths for line in _inexact_nodes(path)] == []

@@ -1,8 +1,11 @@
 import sys
+from enum import IntEnum
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from socular import (
     DomainError,
@@ -15,7 +18,7 @@ from socular import (
     parse_weight,
     tilde,
 )
-from socular.weights import format_weight, is_integral, parse_rational
+from socular.weights import format_weight, integer_entries, is_integral, parse_rational
 
 
 def test_double_single_entry():
@@ -183,3 +186,62 @@ def test_tilde_rejects_a_weight_that_is_not_a_sequence():
 def test_congruence_decompose_rejects_a_weight_that_is_not_a_sequence():
     with pytest.raises(DomainError, match="^a weight must be a sequence of entries, got 5$"):
         congruence_decompose(5, "bcd")
+
+
+class _Small(IntEnum):
+    TWO = 2
+
+
+class _Ratio(F):
+    """A Fraction subclass: its entries read as plain ints all the same."""
+
+
+# weight, numerators, denominators
+INTEGER_ENTRIES = [
+    ((), [], []),
+    ((3, -1, 0), [3, -1, 0], [1, 1, 1]),
+    ((_Small.TWO, 1), [2, 1], [1, 1]),
+    ((F(3, 4), 2), [3, 2], [4, 1]),
+    ((_Ratio(-6, 4),), [-3], [2]),
+    ((1, F(-5, 3), _Small.TWO, _Ratio(7, 2), F(4, 2)), [1, -5, 2, 7, 2], [1, 3, 1, 2, 1]),
+]
+
+
+@pytest.mark.parametrize("weight, nums, dens", INTEGER_ENTRIES)
+def test_integer_entries_reads_plain_ints(weight, nums, dens):
+    got_nums, got_dens = integer_entries(weight)
+    assert (got_nums, got_dens) == (nums, dens)
+    assert all(type(x) is int for x in got_nums + got_dens)
+
+
+# weight, the exact message: the first bad entry wins
+BAD_ENTRIES = [
+    ((True,), "weight entries must be ints or Fractions, got True"),
+    ((1, 2.5), "weight entries must be ints or Fractions, got 2.5"),
+    ((F(1, 2), "1"), "weight entries must be ints or Fractions, got '1'"),
+    (5, "a weight must be a sequence of entries, got 5"),
+    ((1, 2.0, True), "weight entries must be ints or Fractions, got 2.0"),
+    ((F(1, 3), True, 2.0), "weight entries must be ints or Fractions, got True"),
+]
+
+
+@pytest.mark.parametrize("weight, message", BAD_ENTRIES)
+def test_integer_entries_refuses_inexact_entries(weight, message):
+    with pytest.raises(DomainError) as exc:
+        integer_entries(weight)
+    assert str(exc.value) == message
+
+
+_RANK_ENTRY = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 60)),
+)
+
+
+@seed(2401)
+@settings(max_examples=40, deadline=None, database=None)
+@given(weight=st.integers(64, 200).flatmap(lambda n: st.lists(_RANK_ENTRY, min_size=n, max_size=n)))
+def test_format_and_parse_round_trip_at_rank(weight):
+    back = parse_weight(format_weight(weight))
+    assert back == tuple(weight)
+    assert all(type(v) is F for v in back)
