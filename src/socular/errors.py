@@ -1,8 +1,8 @@
 """Error types shared across the library, and the rules of every public boundary.
 
-The int rule, the integer and sequence readers and the family-and-rank check
-live here, so a module that needs only them, :mod:`socular.gkdim` and
-:mod:`socular.cli` among them, loads no parabolic setup code.
+The int rule, the integer and sequence readers, the family-and-rank check and
+the root count live here, so a module that needs only them, :mod:`socular.gkdim`
+and :mod:`socular.cli` among them, loads no parabolic setup code.
 """
 
 import re
@@ -60,3 +60,10 @@ def check_family(family: str, n: int) -> None:
         raise DomainError("rank must be positive")
     if family in ("A", "D") and n < 2:
         raise DomainError(f"family {family} needs n >= 2, got n={n}")
+
+
+def positive_roots(family: str, n: int) -> int:
+    """The number of positive roots of sl(n), so(2n+1), sp(n) or so(2n), by family; unchecked."""
+    if family == "A":
+        return n * (n - 1) // 2
+    return n * n - (n if family == "D" else 0)

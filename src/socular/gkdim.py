@@ -13,7 +13,7 @@ criterion all read it.  The public entries check the family and the rank once,
 after reading the weight; the walk (``_classes``, ``_gk``) is unchecked.
 """
 
-from .errors import FAMILIES, as_tuple, check_family  # FAMILIES: re-exported for importers of this module
+from .errors import FAMILIES, as_tuple, check_family, positive_roots  # FAMILIES: re-exported for importers of this module
 from .hollow import _f_stat, f_stat
 from .tableaux import rs_shape
 from .weights import class_buckets, double, integer_entries, tilde_numerators
@@ -26,12 +26,6 @@ _KINDS = {
     "C": {(0, 1): "b", (1, 2): "d"},
     "D": {(0, 1): "d", (1, 2): "d"},
 }
-
-
-def _ambient(family: str, n: int) -> int:
-    if family == "A":
-        return n * (n - 1) // 2
-    return n * n - (n if family == "D" else 0)
 
 
 def _classes(nums: list[int], dens: list[int], family: str) -> list:
@@ -74,7 +68,7 @@ def _gk(nums: list[int], dens: list[int], family: str) -> tuple[int, int, list]:
     """(GK dimension, ambient dimension, classes) of the weight ``integer_entries``
     read as ``nums, dens``, with the classes as :func:`_classes` returns them;
     unchecked: the family and the rank ``len(nums)`` must have passed ``check_family``."""
-    ambient = gk = _ambient(family, len(nums))
+    ambient = gk = positive_roots(family, len(nums))
     classes = _classes(nums, dens, family)
     for _, _, kind, _, sh in classes:
         gk -= _f_stat(sh, kind)

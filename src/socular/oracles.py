@@ -40,9 +40,10 @@ from .partitions import (
     Partition,
     _check_orbit_family,
     _collapse_input,
+    _dual_family,
     _is_orbit,
-    _is_special,
     _orbit_input,
+    _transpose,
     as_partition,
     collapse,
     expand,
@@ -146,7 +147,7 @@ def _orbit_table(total: int, family: str) -> _OrbitTable:
         bit = 1 << i
         for row, prefix in zip(at, accumulate(q[:-1])):
             row[prefix] |= bit
-        if _is_special(q, family):
+        if _is_orbit(_transpose(q), _dual_family(family)):  # the definition, not the library's run-length test
             special |= bit
         key = _hollow_key(q, parity)
         by_hollow[key] = by_hollow.get(key, 0) | bit

@@ -92,7 +92,7 @@ def _integral_target(setup: ParabolicSetup):
     comp = setup.normalized_composition
     if setup.family == "A":
         return tuple(sorted(comp, reverse=True))
-    return _hollow_key(_z_shape(comp[-1], comp[:-1]), FAMILY_PARITY[setup.family])
+    return _hollow_key(_z_shape(2 * comp[-1], comp[:-1]), FAMILY_PARITY[setup.family])
 
 
 def _integral_candidate(shape, family: str):

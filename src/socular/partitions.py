@@ -127,7 +127,17 @@ def _dual_family(family: str) -> str:
 
 
 def _is_special(p: Partition, family: str) -> bool:
-    return _is_orbit(_transpose(p), _dual_family(family))
+    """Whether the transpose of ``p`` is a dual-family orbit partition, read off the parts:
+    it has ``p[i-1] - p[i]`` columns of height i (``p[len(p)] = 0``), and each height of the
+    dual family's pairing parity, odd for C and even for B, must come an even number of times."""
+    dual = _dual_family(family)
+    if sum(p) % 2 != (dual == "B"):
+        return False
+    q = (*p, 0)
+    for i in range(dual == "B", len(p), 2):  # a plain loop: most partitions have a few parts
+        if (q[i] - q[i + 1]) % 2:
+            return False
+    return True
 
 
 def _orbit_input(p: Iterable[int], family: str) -> Partition:
@@ -203,9 +213,9 @@ def expand(p: Iterable[int], family: str) -> Partition:
     for B, C for C and D), transpose back.
     """
     p = _orbit_input(p, family)
-    q, dual = _transpose(p), _dual_family(family)
-    if _is_orbit(q, dual):
+    if _is_special(p, family):
         return p  # special: its own expansion
+    q, dual = _transpose(p), _dual_family(family)
     return _transpose(_collapse(list(q), dual))
 
 

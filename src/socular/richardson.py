@@ -2,13 +2,13 @@
 
 The Richardson orbit is the dense orbit in G.u; its partition comes from the
 Z-diagram of the parabolic type: transpose of the sorted composition for A,
-the X-collapse of the Z-diagram shape for C and D, and for B the collapse of
-that shape with one box added at row 2*n_k + 1.
+and for B, C and D the collapse of the Z-shape whose tail column holds the
+zero orbit of the small Levi factor, 2*n_k + 1 boxes for B and 2*n_k for C and D.
 """
 
 from typing import NamedTuple
 
-from .errors import FAMILIES, DomainError, IntegrityError
+from .errors import FAMILIES, DomainError
 from .partitions import Partition, _collapse, _transpose, as_partition
 from .setups import ParabolicSetup, _as_setup
 from .zdiagram import _z_shape
@@ -26,20 +26,7 @@ def richardson_partition(setup: ParabolicSetup) -> RichardsonResult:
     if family == "A":
         part = _transpose(tuple(sorted(comp, reverse=True)))
         return RichardsonResult(part, very_even=False, numeral=None)
-    tail = comp[-1]
-    shape = _z_shape(tail, comp[:-1])
-    if family == "B":
-        parts = list(shape)
-        idx = 2 * tail
-        if idx < len(parts):
-            parts[idx] += 1
-        elif idx == len(parts):
-            parts.append(1)
-        else:
-            raise IntegrityError(f"Z-diagram {shape} shorter than 2*n_k = {idx}")
-        part = _collapse(parts, "B")
-    else:
-        part = _collapse(list(shape), family)
+    part = _collapse(list(_z_shape(2 * comp[-1] + (family == "B"), comp[:-1])), family)
     very_even = family == "D" and all(v % 2 == 0 for v in part)
     return RichardsonResult(part, very_even=very_even, numeral="undetermined" if very_even else None)
 
@@ -49,13 +36,14 @@ def orbit_dimension(partition, family: str) -> int:
 
     With q the transpose and m the total: A gives m^2 - sum q_i^2; the
     orthogonal families give m(m-1)/2 - (sum q_i^2 - #odd parts)/2; the
-    symplectic family gives m(m+1)/2 - (sum q_i^2 + #odd parts)/2.
+    symplectic family gives m(m+1)/2 - (sum q_i^2 + #odd parts)/2.  The sum
+    of squared column heights is read off the rows as sum (2i-1) p_i.
     """
     p = as_partition(partition)
     if family not in FAMILIES:
         raise DomainError(f"family must be one of {FAMILIES}, got {family!r}")
     m = sum(p)
-    sq = sum(c * c for c in _transpose(p))
+    sq = sum((2 * i + 1) * v for i, v in enumerate(p))
     odd = sum(1 for v in p if v % 2 == 1)
     # sq and odd always share the parity of m, so the halves below are exact
     if family == "A":

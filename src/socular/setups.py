@@ -25,7 +25,7 @@ from itertools import accumulate
 from operator import sub
 from typing import NamedTuple
 
-from .errors import DomainError, as_tuple, check_family, is_int
+from .errors import DomainError, as_tuple, check_family, is_int, positive_roots
 
 
 class _SetupFields(NamedTuple):
@@ -111,19 +111,13 @@ def z_type(setup: ParabolicSetup) -> tuple[int, tuple[int, ...]]:
 
 
 def dim_nilradical(setup: ParabolicSetup) -> int:
-    """dim(u) for the nilradical of the parabolic, via the Levi root count."""
-    n = _as_setup(setup).n
+    """dim(u) for the nilradical of the parabolic: the positive roots less the Levi's,
+    which has one gl(b) factor per block and, for B/C/D, a small factor of the tail's rank."""
+    family = _as_setup(setup).family
     comp = setup.normalized_composition
-    levi = 0
-    if setup.family == "A":
-        for v in comp:
-            levi += v * v
-        return (n * n - levi) // 2
-    tail = comp[-1]
-    for b in comp[:-1]:
+    levi = 0  # twice the Levi's positive roots, halved once
+    if family != "A":
+        levi, comp = 2 * positive_roots(family, comp[-1]), comp[:-1]
+    for b in comp:
         levi += b * (b - 1)
-    levi = levi // 2 + tail * tail
-    if setup.family == "D":
-        levi -= tail
-        return n * n - n - levi
-    return n * n - levi
+    return positive_roots(family, setup.n) - levi // 2

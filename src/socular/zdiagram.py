@@ -36,16 +36,16 @@ def _check_type(a0, bs) -> tuple[int, tuple[int, ...]]:
     return a0, bs
 
 
-def _z_shape(a0: int, bs) -> Partition:
-    """The shape of the Z-diagram of type (a0; bs), unchecked: the transpose of
-    its column heights 2*a0 and each b twice, a zero height adding no box."""
-    return _transpose(sorted((2 * a0, *bs, *bs), reverse=True))
+def _z_shape(tail: int, bs) -> Partition:
+    """The shape with a column of ``tail`` boxes and two of each b, unchecked; a zero height adds no box.
+    A tail of 2*a0 gives the Z-diagram of type (a0; bs); B's Richardson partition collapses a tail of 2*n_k + 1."""
+    return _transpose(sorted((tail, *bs, *bs), reverse=True))
 
 
 def z_diagram(a0: int, bs) -> ZDiagram:
     """Build the Z-diagram of type (a0; b_1,...,b_{k-1})."""
     a0, bs = _check_type(a0, bs)
-    shape = _z_shape(a0, bs)
+    shape = _z_shape(2 * a0, bs)
     return ZDiagram(a0=a0, bs=bs, column_heights=_transpose(shape), shape=shape)
 
 

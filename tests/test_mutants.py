@@ -19,8 +19,9 @@ import pytest
 import test_gkdim
 import test_hollow
 import test_parabolic
-from socular import gkdim, parabolic, partitions, tableaux, zdiagram
-from socular.oracles import EnumerationBudget, check_expand, check_socular
+import test_transforms
+from socular import gkdim, parabolic, partitions, tableaux, transforms, zdiagram
+from socular.oracles import EnumerationBudget, check_collapse, check_expand, check_socular
 
 # ``from socular import hollow`` binds the function, not the module
 hollow = importlib.import_module("socular.hollow")
@@ -40,8 +41,8 @@ MUTANTS = {
     ),
     "z-shape-one-column-per-b": (
         zdiagram._z_shape,
-        "(2 * a0, *bs, *bs)",
-        "(2 * a0, *bs)",
+        "(tail, *bs, *bs)",
+        "(tail, *bs)",
         # not check_richardson: the odd C totals this gives stop the collapse kernel with an IntegrityError
         lambda: check_socular(SMALL),
     ),
@@ -92,6 +93,38 @@ MUTANTS = {
         "2 * r > d",
         "r > d",
         test_gkdim.test_breakdown_golden_record,
+    ),
+    "row-counts-never-alternate": (
+        hollow._row_counts,
+        "lead = not lead",
+        "lead = lead",
+        # not check_halg: the H-algorithm's own self-check stops this mutant with an IntegrityError
+        test_hollow.test_closed_forms_match_cell_enumeration,
+    ),
+    "collapse-lowers-the-first-of-the-block": (
+        partitions._collapse,
+        "parts[end - 1] = q - 1",
+        "parts[k] = q - 1",
+        lambda: check_collapse(SMALL),
+    ),
+    "is-special-pairs-the-other-heights": (
+        partitions._is_special,
+        'range(dual == "B"',
+        'range(dual != "B"',
+        # the oracle table reads specialness off the transpose, not through this kernel
+        lambda: check_expand(SMALL),
+    ),
+    "pair-blocked-on-a-full-row": (
+        transforms._pair_blocked,
+        "last[i] < p[i]",
+        "last[i] <= p[i]",
+        test_transforms.test_h_algorithm_matches_oracle_smoke,
+    ),
+    "tail-dominant-reads-b-as-c": (
+        parabolic._tail_dominant,
+        "return _positive_multiple(2 * x, d)",
+        "return _positive_multiple(x, d)",
+        test_parabolic.test_p_dominance_matches_the_fraction_definition,
     ),
 }
 

@@ -22,7 +22,16 @@ from socular import (
     restricted_transform_oracle,
     transpose,
 )
-from socular.partitions import ORBIT_FAMILIES, as_partition, format_partition, partitions_of
+from socular.partitions import (
+    ORBIT_FAMILIES,
+    _dual_family,
+    _is_orbit,
+    _is_special,
+    _transpose,
+    as_partition,
+    format_partition,
+    partitions_of,
+)
 
 from helpers import _partitions, all_partitions, collapse_by_steps
 
@@ -126,6 +135,36 @@ def test_is_special():
     assert not is_special((4, 4, 3, 3, 3), "B")
     with pytest.raises(DomainError):
         is_special((3, 1), "C")
+
+
+def test_is_special_reads_the_transpose_off_the_parts():
+    # the kernel counts the transpose's columns from the parts; the definition builds it
+    pairs = 0
+    for total in range(31):
+        for p in partitions_of(total):
+            for family in ORBIT_FAMILIES:
+                assert _is_special(p, family) == _is_orbit(_transpose(p), _dual_family(family)), (p, family)
+                pairs += 1
+    assert pairs == 85887
+
+
+def test_two_huge_parts_cost_their_count_not_their_size():
+    # a transpose of 10**12 boxes cannot fit under the cap, so a kernel that builds one
+    # fails here by the cap or the deadline, in a child, not by filling the machine
+    cap = 512 * 2**20
+    code = (
+        "import resource\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        "from socular import expand, is_special, orbit_dimension\n"
+        "from socular.cli import run\n"
+        "p = (10**12, 10**12)\n"
+        "print(expand(p, 'D') == p, is_special(p, 'D'), orbit_dimension(p, 'D'))\n"
+        "raise SystemExit(run(['expand', '--partition', '1000000000,1000000000', '--family', 'D']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(socular.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [f"True True {2 * 10**24 - 3 * 10**12}", "1000000000,1000000000"]
 
 
 def test_collapse_examples():

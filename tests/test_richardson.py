@@ -136,3 +136,27 @@ def test_richardson_identities_at_rank(setup):
     assert orbit_dimension(part, family) == 2 * dim_nilradical(setup)
     if family != "A":
         assert is_orbit_partition(part, family) and is_special(part, family)
+
+
+@st.composite
+def _bcd_setups_at_rank(draw):
+    """A B/C/D parabolic of rank 64-200 with up to 24 excluded roots below the tail root,
+    which about half of them exclude too, for a zero tail."""
+    family = draw(st.sampled_from("BCD"))
+    n = draw(st.integers(64, 200))
+    excluded = draw(st.sets(st.integers(1, n - 1), max_size=24))
+    return parabolic_from_roots(family, n, excluded | ({n} if draw(st.booleans()) else set()))
+
+
+@seed(2203)
+@settings(max_examples=150, deadline=None, database=None)
+@given(setup=_bcd_setups_at_rank())
+def test_richardson_is_the_induced_zero_orbit_at_rank(setup):
+    # richardson_oracle's induction, with the library collapse in place of the oracle's
+    family = setup.family
+    tail, blocks = z_type(setup)
+    p = (1,) * (2 * tail + (family == "B"))
+    for b in blocks:
+        padded = p + (0,) * (b - len(p))
+        p = collapse(tuple(v + 2 for v in padded[:b]) + padded[b:], family)
+    assert richardson_partition(setup).partition == p

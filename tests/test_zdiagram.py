@@ -47,7 +47,7 @@ def test_z_shape_is_the_column_count_of_every_small_type():
                 continue
             want = _shape_by_column_count(a0, bs)
             zd = z_diagram(a0, bs)
-            assert _z_shape(a0, bs) == zd.shape == want, (a0, bs)
+            assert _z_shape(2 * a0, bs) == zd.shape == want, (a0, bs)
             assert zd.column_heights == tuple(sorted([2 * a0] * (a0 > 0) + [*bs, *bs], reverse=True))
             types += 1
     assert types == 6 * (1 + 5 + 25 + 125) - 1
@@ -60,7 +60,7 @@ def test_closed_forms_match_f_stat_at_rank(a0, bs):
     # the rank of a parabolic with this Z-diagram type is a0 + sum(bs), here up to 2,600
     if a0 == 0 and not bs:
         return
-    shape = _z_shape(a0, bs)
+    shape = _z_shape(2 * a0, bs)
     assert shape == _shape_by_column_count(a0, bs)
     assert z_closed_forms(a0, bs) == (f_stat(shape, "b"), f_stat(shape, "d"))
 
