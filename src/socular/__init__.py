@@ -15,7 +15,7 @@ from types import ModuleType
 # here, after which they are plain module globals.
 _EXPORTS = {
     "errors": ("DomainError", "FAMILIES", "IntegrityError"),
-    "gkdim": ("f_stat_sequence", "gk_breakdown", "gk_dimension"),
+    "gkdim": ("gk_breakdown", "gk_dimension"),
     "hollow": ("f_stat", "hollow", "parity_profile", "render_diagram", "render_hollow"),
     "oracles": (
         "EnumerationBudget",
@@ -32,7 +32,6 @@ _EXPORTS = {
         "expand",
         "is_orbit_partition",
         "is_special",
-        "parse_partition",
         "partitions_of",
         "transpose",
     ),
@@ -43,7 +42,7 @@ _EXPORTS = {
         "parabolic_from_composition",
         "parabolic_from_roots",
     ),
-    "tableaux": ("render_tableau", "rs_insert", "rs_shape", "rs_tableau", "shape"),
+    "tableaux": ("render_tableau", "rs_shape", "rs_tableau", "shape"),
     "transforms": ("h_algorithm", "is_domino_type"),
     "weights": (
         "CongruenceClass",

@@ -13,8 +13,8 @@ criterion all read it.  The public entries check the family and the rank once,
 after reading the weight; the walk (``_classes``, ``_gk``) is unchecked.
 """
 
-from .errors import FAMILIES, as_tuple, check_family, positive_roots  # FAMILIES: re-exported for importers of this module
-from .hollow import _f_stat, f_stat
+from .errors import check_family, positive_roots
+from .hollow import _f_stat
 from .tableaux import rs_shape
 from .weights import class_buckets, double, integer_entries, tilde_numerators
 
@@ -73,11 +73,6 @@ def _gk(nums: list[int], dens: list[int], family: str) -> tuple[int, int, list]:
     for _, _, kind, _, sh in classes:
         gk -= _f_stat(sh, kind)
     return gk, ambient, classes
-
-
-def f_stat_sequence(seq, kind: str) -> int:
-    """:func:`~socular.hollow.f_stat` of the Robinson-Schensted shape of a sequence of entries."""
-    return f_stat(rs_shape(as_tuple(seq, "a word must be a sequence of entries")), kind)
 
 
 def gk_breakdown(weight, family: str) -> dict:

@@ -101,19 +101,6 @@ def _f_stat(sh: Partition, kind: str) -> int:
     return total
 
 
-def f_stat_column_form(p, kind: str) -> int:
-    """The dual expressions for F_b / F_d in terms of column parity counts.
-
-    Used as a consistency cross-check against :func:`f_stat`.  Column i with c
-    boxes of the kind's parity adds c^2 when i is odd for F_b or even for F_d,
-    and c(c-1) otherwise.
-    """
-    if kind not in ("b", "d"):
-        raise DomainError(f"column form exists for kinds 'b' and 'd' only, got {kind!r}")
-    counts = _row_counts(_transpose(as_partition(p)), "odd" if kind == "b" else "even")
-    return sum(c * c if i % 2 == (kind == "b") else c * (c - 1) for i, c in enumerate(counts, 1))
-
-
 def render_diagram(p) -> str:
     """Grid of E/O characters for the full diagram of ``p``."""
     p = as_partition(p)

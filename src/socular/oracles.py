@@ -343,16 +343,12 @@ def socular_enumeration(setup: ParabolicSetup, budget: EnumerationBudget):
     return best, [w for w, g in zip(weights, gks) if g == best]
 
 
-def parabolic_setups(family: str, n: int):
-    """Every standard parabolic of the family and rank ``n``, one per set of excluded simple roots."""
-    top = n - 1 if family == "A" else n
-    for mask in range(1 << top):
-        yield parabolic_from_roots(family, n, frozenset(i + 1 for i in range(top) if mask >> i & 1))
-
-
 def _all_setups(family: str, max_n: int):
+    """Every standard parabolic of the family up to rank ``max_n``, one per set of excluded simple roots."""
     for n in range(2 if family in ("A", "D") else 1, max_n + 1):
-        yield from parabolic_setups(family, n)
+        top = n - 1 if family == "A" else n
+        for mask in range(1 << top):
+            yield parabolic_from_roots(family, n, frozenset(i + 1 for i in range(top) if mask >> i & 1))
 
 
 def _mismatches(name: str, fast, oracle, cases) -> list[str]:

@@ -2,8 +2,8 @@
 
 The parabolic itself (:class:`ParabolicSetup`, its two constructors,
 :func:`z_type` and :func:`dim_nilradical`) is built in :mod:`socular.setups`,
-which needs no weight; this module re-exports those names.  Dominance tests
-use the original excluded set, socularity targets the normalized composition.
+which needs no weight.  Dominance tests use the original excluded set,
+socularity targets the normalized composition.
 """
 
 from typing import NamedTuple
@@ -12,14 +12,7 @@ from .errors import DomainError, IntegrityError
 from .gkdim import _gk
 from .hollow import FAMILY_PARITY, _hollow_key
 from .partitions import _transpose
-from .setups import (  # the constructors and z_type are re-exported for importers of this module
-    ParabolicSetup,
-    _as_setup,
-    dim_nilradical,
-    parabolic_from_composition,
-    parabolic_from_roots,
-    z_type,
-)
+from .setups import ParabolicSetup, _as_setup, dim_nilradical
 from .tableaux import rs_shape
 from .weights import integer_entries
 from .zdiagram import _z_shape

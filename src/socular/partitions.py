@@ -14,7 +14,7 @@ from collections.abc import Iterable, Iterator
 from itertools import accumulate
 from operator import ge
 
-from .errors import DomainError, IntegrityError, _DigitLimit, as_tuple, is_int, read_int
+from .errors import DomainError, IntegrityError, as_tuple, is_int
 
 ORBIT_FAMILIES = ("B", "C", "D")
 
@@ -40,22 +40,6 @@ def as_partition(parts: Iterable[int]) -> Partition:
     if rising:
         raise DomainError(f"partition parts must be weakly decreasing: {p}")
     return p
-
-
-def parse_partition(text: str) -> Partition:
-    """Parse the text format: comma-separated positive integers, e.g. ``7,5,5,3,3``."""
-    if not isinstance(text, str):
-        raise DomainError(f"a partition must be text, got {text!r}")
-    text = text.strip()
-    if not text:
-        return ()
-    try:
-        parts = list(map(read_int, text.split(",")))
-    except _DigitLimit:
-        raise
-    except ValueError:
-        raise DomainError(f"cannot parse partition from {text!r}") from None
-    return as_partition(parts)
 
 
 def format_partition(p: Iterable[int]) -> str:

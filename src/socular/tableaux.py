@@ -7,7 +7,7 @@ the first row that is strictly bigger, so equal entries append.
 Column-inserting w_N...w_1 gives the tableau of row-inserting w_1...w_N
 (Knuth 1970; Fulton, *Young Tableaux*, A.2), walking columns instead of rows.
 :func:`rs_shape` tries columns first, since the paper's doubled weights are
-tall; :func:`rs_tableau` and :func:`rs_insert` always insert by rows.
+tall; :func:`rs_tableau` always inserts by rows.
 """
 
 from bisect import bisect_left, bisect_right
@@ -54,12 +54,6 @@ def _rows(tableau: Tableau) -> list[list]:
     """The rows of a tableau as lists; a tableau or a row that is not a sequence is a :class:`DomainError`."""
     rows = as_tuple(tableau, "a tableau must be a sequence of rows")
     return [list(as_tuple(row, "a tableau row must be a sequence of entries")) for row in rows]
-
-
-def rs_insert(tableau: Tableau, value) -> Tableau:
-    """Insert one value by row bumping and return the new tableau."""
-    rows = _insert_all(_rows(tableau), (value,))
-    return tuple(tuple(r) for r in rows)
 
 
 def rs_tableau(seq) -> Tableau:

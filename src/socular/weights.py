@@ -55,10 +55,6 @@ def parse_weight(text: str) -> Weight:
         raise _DigitLimit() from None
 
 
-def format_weight(weight) -> str:
-    return ",".join(str(v) for v in weight)
-
-
 _SEQUENCE_RULE = "a weight must be a sequence of entries"
 
 

@@ -4,6 +4,7 @@ Everything here is deliberately naive and self-contained so that it can serve
 as ground truth for the library's fast paths.
 """
 
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -188,3 +189,46 @@ def levi_positive_root_count(family: str, n: int, excluded) -> int:
 def mask_members(table, mask: int) -> list:
     """The partitions of an oracle orbit table whose bits ``mask`` sets, in the table's order."""
     return [q for i, q in enumerate(table.parts) if mask >> i & 1]
+
+
+def f_stat_column_form(p, kind: str) -> int:
+    """F_b or F_d of a partition by its column form, from each box's parity alone.
+
+    Box (k, i), row k and column i, is odd when k+i is: F_b reads the odd boxes
+    and F_d the even ones.  Column i holding c of them adds c^2 when i has that
+    parity too, and c(c-1) otherwise.
+    """
+    want = 1 if kind == "b" else 0
+    total = 0
+    for i in range(1, (p[0] if p else 0) + 1):
+        height = sum(1 for part in p if part >= i)
+        c = sum(1 for k in range(1, height + 1) if (k + i) % 2 == want)
+        total += c * c if i % 2 == want else c * (c - 1)
+    return total
+
+
+def line_events(fn, *args) -> int:
+    """The line events in the frames of ``fn``'s own code while ``fn(*args)`` runs.
+
+    A count of executed lines does not depend on the host's speed.  Any tracer
+    already set, such as a coverage tool's, is put back afterwards.
+    """
+    code = fn.__code__
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def on_call(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    earlier = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(earlier)
+    return count

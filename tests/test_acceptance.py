@@ -27,11 +27,10 @@ from socular import (
     z_closed_forms,
     z_diagram,
 )
-from socular.hollow import f_stat_column_form
 from socular.oracles import _all_setups, check_collapse, check_halg, check_socular
-from socular.parabolic import z_type
+from socular.setups import z_type
 
-from helpers import all_partitions
+from helpers import all_partitions, f_stat_column_form
 
 WINDOW = (-6, 6)
 MAX_N = 4

@@ -3,17 +3,17 @@ import pytest
 from socular import (
     DomainError,
     f_stat,
-    f_stat_sequence,
     hollow,
     parity_profile,
     partitions_of,
     render_diagram,
     render_hollow,
+    rs_shape,
     transpose,
 )
-from socular.hollow import _hollow_key, f_stat_column_form
+from socular.hollow import _hollow_key
 
-from helpers import all_partitions
+from helpers import all_partitions, f_stat_column_form
 
 
 def test_parity_profile_paper_example():
@@ -95,11 +95,11 @@ def test_f_stat_examples():
 
 
 def test_f_stat_on_sequences():
-    # f_stat_sequence sends its entries through Robinson-Schensted first
-    assert f_stat_sequence((-5, -6, -4, 2, -2, 4, 6, 5), "b") == 2
-    assert f_stat_sequence((2, 1, 3), "a") == 1
+    # a sequence of entries goes through Robinson-Schensted first
+    assert f_stat(rs_shape((-5, -6, -4, 2, -2, 4, 6, 5)), "b") == 2
+    assert f_stat(rs_shape((2, 1, 3)), "a") == 1
     # a sequence that happens to be a partition is still read as a sequence
-    assert f_stat_sequence((2, 1, 1), "a") == 1
+    assert f_stat(rs_shape((2, 1, 1)), "a") == 1
     assert f_stat((2, 1, 1), "a") == 3
 
 

@@ -19,6 +19,7 @@ import pytest
 import test_gkdim
 import test_hollow
 import test_parabolic
+import test_partitions
 import test_transforms
 from socular import gkdim, parabolic, partitions, tableaux, transforms, zdiagram
 from socular.oracles import EnumerationBudget, check_collapse, check_expand, check_socular
@@ -106,6 +107,13 @@ MUTANTS = {
         "parts[end - 1] = q - 1",
         "parts[k] = q - 1",
         lambda: check_collapse(SMALL),
+    ),
+    "collapse-restarts-from-the-first-block": (
+        partitions._collapse,
+        "            parts.append(1)\n    return tuple(parts)",
+        "            parts.append(1)\n        k = 0\n    return tuple(parts)",
+        # the restarted walk gives the same answer, only its cost grows faster
+        test_partitions.test_collapse_cost_grows_linearly,
     ),
     "is-special-pairs-the-other-heights": (
         partitions._is_special,

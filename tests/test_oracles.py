@@ -26,9 +26,10 @@ from socular import (
 from socular import oracles, partitions, richardson
 from socular.hollow import FAMILY_PARITY, _hollow_key
 from socular.oracles import check_collapse, check_expand, check_halg, check_richardson, check_socular, integral_weights
-from socular.parabolic import _p_dominant, z_type
+from socular.parabolic import _p_dominant
 from socular.partitions import ORBIT_FAMILIES, _dominates, _is_orbit, _is_special, partitions_of
 from socular.richardson import RichardsonResult
+from socular.setups import z_type
 
 from helpers import mask_members
 

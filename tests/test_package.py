@@ -4,6 +4,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from enum import IntEnum
@@ -28,7 +29,6 @@ from socular import (
     z_diagram,
 )
 from socular.errors import check_family, read_int
-from socular.hollow import f_stat_column_form
 from socular.oracles import check_collapse, check_socular
 from socular.partitions import as_partition
 from socular.setups import z_type
@@ -54,6 +54,36 @@ def test_every_exported_name_resolves():
     for name in ORACLE_EXPORTS:
         assert name in socular.__all__
         assert getattr(socular, name) is getattr(oracles, name)
+
+
+# a value a comment states: a flat tuple, a bool or an int at the comment's start
+_STATED = re.compile(r"#\s*(\([\d, ]*\)|True|False|-?\d+)")
+
+
+def test_readme_library_example_runs_and_gives_the_values_it_states():
+    readme = (ROOT / "README.md").read_text()
+    code = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    lines = code.splitlines()
+    checked = set()
+    for node in ast.parse(code).body:
+        if not isinstance(node, ast.Expr):
+            continue
+        # the comment after the expression, or on its own line right below it
+        comment = lines[node.end_lineno - 1][node.end_col_offset :].strip()
+        if not comment and node.end_lineno < len(lines):
+            comment = lines[node.end_lineno].strip()
+        stated = _STATED.match(comment)
+        if stated is None:
+            continue
+        got = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        assert got == ast.literal_eval(stated.group(1)), ast.unparse(node)
+        call = node.value
+        while isinstance(call, ast.Attribute):
+            call = call.value
+        checked.add(call.func.id)
+    assert checked >= {"gk_dimension", "is_socular", "richardson_partition", "expand", "f_stat"}, checked
 
 
 def _fresh(code: str) -> str:
@@ -106,13 +136,10 @@ def test_bare_import_loads_no_submodule():
 
 
 def test_names_kept_where_importers_reach_them():
-    # the benchmark imports check_family from gkdim and names spans after
-    # __module__; tests reach z_type through parabolic
-    from socular import gkdim, parabolic, setups
+    # the benchmark imports check_family from gkdim and names spans after __module__
+    from socular import gkdim, setups
 
-    assert gkdim.check_family is setups.check_family and gkdim.FAMILIES is socular.FAMILIES
-    for name in ("ParabolicSetup", "dim_nilradical", "parabolic_from_composition", "parabolic_from_roots", "z_type"):
-        assert getattr(parabolic, name) is getattr(setups, name), name
+    assert gkdim.check_family is setups.check_family
     modules = {
         "collapse": "partitions",
         "expand": "partitions",
@@ -256,11 +283,9 @@ NOT_A_SEQUENCE = {
     "is_special": lambda: socular.is_special(5, "B"),
     "collapse": lambda: socular.collapse(5, "B"),
     "expand": lambda: socular.expand(5, "B"),
-    "parse_partition": lambda: socular.parse_partition(5),
     "parity_profile": lambda: socular.parity_profile(5),
     "hollow": lambda: socular.hollow(5, "odd"),
     "f_stat": lambda: socular.f_stat(5, "a"),
-    "f_stat_column_form": lambda: f_stat_column_form(5, "b"),
     "render_diagram": lambda: socular.render_diagram(5),
     "render_hollow": lambda: socular.render_hollow(5, "odd"),
     "is_domino_type": lambda: socular.is_domino_type(5),
@@ -272,12 +297,9 @@ NOT_A_SEQUENCE = {
     "z_diagram": lambda: socular.z_diagram(1, 5),
     "z_closed_forms": lambda: socular.z_closed_forms(1, 5),
     "rs_tableau": lambda: socular.rs_tableau(5),
-    "rs_insert": lambda: socular.rs_insert(5, 1),
-    "rs_insert-row": lambda: socular.rs_insert((5,), 1),
     "shape": lambda: socular.shape(5),
     "shape-row": lambda: socular.shape((5,)),
     "rs_shape": lambda: socular.rs_shape(5),
-    "f_stat_sequence": lambda: socular.f_stat_sequence(5, "a"),
     "parse_weight": lambda: socular.parse_weight(5),
     "parse_rational": lambda: parse_rational(5),
     "double": lambda: socular.double(5),

@@ -26,7 +26,7 @@ from socular import (
 
 from socular.cli import run
 from socular.oracles import _all_setups
-from socular.parabolic import ParabolicSetup, z_type
+from socular.setups import ParabolicSetup, z_type
 
 from helpers import levi_positive_root_count
 

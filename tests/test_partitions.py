@@ -18,12 +18,12 @@ from socular import (
     h_algorithm,
     is_orbit_partition,
     is_special,
-    parse_partition,
     restricted_transform_oracle,
     transpose,
 )
 from socular.partitions import (
     ORBIT_FAMILIES,
+    _collapse,
     _dual_family,
     _is_orbit,
     _is_special,
@@ -33,7 +33,7 @@ from socular.partitions import (
     partitions_of,
 )
 
-from helpers import _partitions, all_partitions, collapse_by_steps
+from helpers import _partitions, all_partitions, collapse_by_steps, line_events
 
 
 def test_transpose_examples():
@@ -103,22 +103,7 @@ def test_as_partition_casts_an_int_subclass_to_int():
 
 
 def test_parse_format():
-    assert parse_partition("7,5,5,3,3") == (7, 5, 5, 3, 3)
-    assert parse_partition("") == ()
     assert format_partition((7, 5, 5, 3, 3)) == "7,5,5,3,3"
-    with pytest.raises(DomainError):
-        parse_partition("3,5")
-    with pytest.raises(DomainError, match=r"^cannot parse partition from 'a,b'$"):
-        parse_partition("a,b")
-
-
-def test_parse_partition_refuses_a_part_past_the_digit_limit():
-    message = f"^an entry has more than {sys.get_int_max_str_digits()} digits, the int conversion limit$"
-    with pytest.raises(DomainError, match=message):
-        parse_partition("9" * 5000 + ",1")
-    # malformed text keeps its own message, however long
-    with pytest.raises(DomainError, match="^cannot parse partition from '9+x'$"):
-        parse_partition("9" * 5000 + "x")
 
 
 def test_is_orbit_partition():
@@ -238,6 +223,13 @@ def test_collapse_of_a_long_staircase_of_bad_parts(family, first):
     c = collapse(p, family)
     assert c == collapse_by_steps(p, family)
     assert is_orbit_partition(c, family) and dominates(p, c)
+
+
+def test_collapse_cost_grows_linearly():
+    # type C (2m, 2m-1, ..., 1): the walk lowers every even part once, so its
+    # line events double with m, where a walk that restarts after each step squares
+    small, large = (line_events(_collapse, list(range(2 * m, 0, -1)), "C") for m in (100, 200))
+    assert large <= 2.2 * small, (small, large)
 
 
 def test_expand_examples():
@@ -396,4 +388,4 @@ def test_cli_expand_on_a_large_partition():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert parse_partition(done.stdout.strip()) == expand(p, "C")
+    assert tuple(map(int, done.stdout.strip().split(","))) == expand(p, "C")

@@ -16,7 +16,7 @@ from socular import (
     z_diagram,
 )
 from socular.oracles import _all_setups
-from socular.parabolic import z_type
+from socular.setups import z_type
 
 
 def test_so23_example():

@@ -18,7 +18,7 @@ from socular import (
     parse_weight,
     tilde,
 )
-from socular.weights import format_weight, integer_entries, is_integral, parse_rational
+from socular.weights import integer_entries, is_integral, parse_rational
 
 
 def test_double_single_entry():
@@ -121,7 +121,6 @@ def test_tilde_gives_integral_differences():
 def test_parse_weight():
     assert parse_weight("-5,-6,-4,1/2") == (-5, -6, -4, F(1, 2))
     assert parse_weight("0") == (0,)
-    assert format_weight((F(1, 2), -3)) == "1/2,-3"
 
 
 @pytest.mark.parametrize("bad", ["1.5", "", "1/0", "a", "1,,2", "1/-2"])
@@ -242,6 +241,6 @@ _RANK_ENTRY = st.one_of(
 @settings(max_examples=40, deadline=None, database=None)
 @given(weight=st.integers(64, 200).flatmap(lambda n: st.lists(_RANK_ENTRY, min_size=n, max_size=n)))
 def test_format_and_parse_round_trip_at_rank(weight):
-    back = parse_weight(format_weight(weight))
+    back = parse_weight(",".join(map(str, weight)))
     assert back == tuple(weight)
     assert all(type(v) is F for v in back)
