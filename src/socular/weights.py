@@ -1,9 +1,11 @@
 """Exact-rational weight sequences, doubling maps, and congruence decompositions.
 
-Weights are tuples of ``fractions.Fraction`` (plain ints are accepted anywhere
-and mean the same thing; floats, strings and bools are domain errors).  All
-operations are pure; no floating point is used anywhere because the downstream
-criteria are exact equalities.
+Weights are tuples of ints and ``fractions.Fraction``s, which mean the same
+value either way; floats, strings and bools are domain errors.  The text
+readers give an entry written as an integer as an ``int``, and one written
+``a/b`` as its ``Fraction`` in lowest terms, so ``"4/2"`` gives ``Fraction(2)``.
+All operations are pure; no floating point is used anywhere because the
+downstream criteria are exact equalities.
 """
 
 import re
@@ -12,23 +14,24 @@ from typing import NamedTuple
 
 from .errors import DomainError, _DigitLimit, as_tuple, is_int
 
-Weight = tuple[Fraction, ...]
+Weight = tuple[int | Fraction, ...]
 
 _ENTRY = r"\s*-?\d+(?:/[1-9]\d*)?\s*"
 _ENTRY_RE = re.compile(_ENTRY)
 _WEIGHT_RE = re.compile(rf"{_ENTRY}(?:,{_ENTRY})*")
 
 
-def _entry(text: str) -> Fraction:
+def _entry(text: str) -> int | Fraction:
     # text matches _ENTRY; int() ignores the surrounding whitespace
     if "/" not in text:
-        return Fraction(int(text))
+        return int(text)
     num, _, den = text.partition("/")
     return Fraction(int(num), int(den))
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse one entry: ``a``, ``-a`` or ``a/b`` with b > 0.  No decimals."""
+def parse_rational(text: str) -> int | Fraction:
+    """Parse one entry: ``a`` or ``-a`` to an int, ``a/b`` with b > 0 to its Fraction
+    in lowest terms (``"4/2"`` gives ``Fraction(2)``).  No decimals."""
     if not isinstance(text, str):
         raise DomainError(f"a rational literal must be text, got {text!r}")
     if not _ENTRY_RE.fullmatch(text):
@@ -40,7 +43,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_weight(text: str) -> Weight:
-    """Parse a comma-separated weight, e.g. ``-5,-6,-4,1/2``."""
+    """Parse a comma-separated weight, e.g. ``-5,-6,-4,1/2``: each entry as
+    :func:`parse_rational` reads it, an int unless it is written ``a/b``."""
     if not isinstance(text, str):
         raise DomainError(f"a weight must be text, got {text!r}")
     if not text.strip():

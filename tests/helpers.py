@@ -4,6 +4,7 @@ Everything here is deliberately naive and self-contained so that it can serve
 as ground truth for the library's fast paths.
 """
 
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -214,6 +215,20 @@ def line_events(fn, *args) -> int:
     already set, such as a coverage tool's, is put back afterwards.
     """
     code = fn.__code__
+    return _count_lines(lambda frame: frame.f_code is code, fn, args)
+
+
+def library_line_events(fn, *args) -> int:
+    """The line events in every frame whose code lives in the ``socular`` package while
+    ``fn(*args)`` runs: the work of the library alone, whatever entry ``fn`` calls it by.
+    Any tracer already set is put back afterwards, as with :func:`line_events`."""
+    import socular
+
+    library = os.path.dirname(socular.__file__)
+    return _count_lines(lambda frame: os.path.dirname(frame.f_code.co_filename) == library, fn, args)
+
+
+def _count_lines(wanted, fn, args) -> int:
     count = 0
 
     def local(frame, event, arg):
@@ -223,7 +238,7 @@ def line_events(fn, *args) -> int:
         return local
 
     def on_call(frame, event, arg):
-        return local if frame.f_code is code else None
+        return local if wanted(frame) else None
 
     earlier = sys.gettrace()
     sys.settrace(on_call)

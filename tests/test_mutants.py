@@ -21,6 +21,7 @@ import test_hollow
 import test_parabolic
 import test_partitions
 import test_transforms
+import test_weights
 from socular import gkdim, parabolic, partitions, tableaux, transforms, zdiagram
 from socular.oracles import EnumerationBudget, check_collapse, check_expand, check_socular
 
@@ -31,6 +32,12 @@ weights = importlib.import_module("socular.weights")
 SMALL = EnumerationBudget(max_total=8, entry_window=(-2, 2), max_n=2)
 # rank 5 doubles to words of 10 entries: rs_shape row-inserts words of at most 8
 LONG_WORDS = EnumerationBudget(max_total=8, entry_window=(-1, 1), max_n=5)
+
+
+def _every_integer_entries_row():
+    for row in test_weights.INTEGER_ENTRIES:
+        test_weights.test_integer_entries_reads_plain_ints(*row)
+
 
 # kernel, the text its source must hold once, the text that replaces it, the killer
 MUTANTS = {
@@ -82,6 +89,13 @@ MUTANTS = {
         "dens.append(d)",
         "dens.append(1)",
         test_gkdim.test_breakdown_golden_record,
+    ),
+    "integer-entries-tests-only-the-first-for-int": (
+        weights.integer_entries,
+        "for v in w:\n        if type(v) is not int:",
+        "for v in w[:1]:\n        if type(v) is not int:",
+        # parse_weight gives a mixed weight whose first entry is an int whenever its text starts with one
+        _every_integer_entries_row,
     ),
     "f-stat-counts-rows-from-1": (
         hollow._f_stat,

@@ -444,3 +444,29 @@ def test_library_modules_use_no_floats():
     paths = sorted((ROOT / "src" / "socular").glob("*.py"))
     assert len(paths) > 10
     assert [line for path in paths for line in _inexact_nodes(path)] == []
+
+
+def _fraction_nodes(path: Path) -> list[str]:
+    """Each import of ``fractions`` and each use of the name ``Fraction`` in a module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import) and any(alias.name == "fractions" for alias in node.names):
+            what = "import fractions"
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            what = "from fractions import"
+        elif isinstance(node, ast.Name) and node.id == "Fraction":
+            what = "the name Fraction"
+        elif isinstance(node, ast.Attribute) and node.attr == "Fraction":
+            what = "the attribute Fraction"
+        else:
+            continue
+        found.append(f"{path.name}:{node.lineno}: {what}")
+    return found
+
+
+def test_only_weights_and_oracles_touch_fractions():
+    # the weight reader turns entries into ints once; every other library module runs on ints
+    found = {path.name: _fraction_nodes(path) for path in (ROOT / "src" / "socular").glob("*.py")}
+    owners = ("weights.py", "oracles.py")
+    assert [line for name, lines in sorted(found.items()) if name not in owners for line in lines] == []
+    assert all(found[name] for name in owners)  # the walk does see the two that do

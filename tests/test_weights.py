@@ -1,3 +1,4 @@
+import random
 import sys
 from enum import IntEnum
 from fractions import Fraction as F
@@ -7,10 +8,13 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import test_gkdim
+import test_parabolic
 from socular import (
     DomainError,
     congruence_decompose,
     double,
+    gk_breakdown,
     gk_dimension,
     is_p_dominant,
     is_socular,
@@ -118,9 +122,20 @@ def test_tilde_gives_integral_differences():
             assert all((a - b).denominator == 1 for a in out for b in out)
 
 
+# text, the parsed entries and their exact types: an integer is an int, a/b a Fraction
+PARSED = [
+    ("-5,-6,-4,1/2", (-5, -6, -4, F(1, 2)), (int, int, int, F)),
+    ("0", (0,), (int,)),
+    ("4/2,3", (F(2), 3), (F, int)),
+    (" 3 ,-1/2", (3, F(-1, 2)), (int, F)),
+]
+
+
 def test_parse_weight():
-    assert parse_weight("-5,-6,-4,1/2") == (-5, -6, -4, F(1, 2))
-    assert parse_weight("0") == (0,)
+    for text, values, types in PARSED:
+        got = parse_weight(text)
+        assert got == values, text
+        assert tuple(map(type, got)) == types, text
 
 
 @pytest.mark.parametrize("bad", ["1.5", "", "1/0", "a", "1,,2", "1/-2"])
@@ -203,6 +218,8 @@ INTEGER_ENTRIES = [
     ((F(3, 4), 2), [3, 2], [4, 1]),
     ((_Ratio(-6, 4),), [-3], [2]),
     ((1, F(-5, 3), _Small.TWO, _Ratio(7, 2), F(4, 2)), [1, -5, 2, 7, 2], [1, 3, 1, 2, 1]),
+    # the shape parse_weight gives a mixed weight: an int first, then a Fraction
+    (parse_weight("3,1/2"), [3, 1], [1, 2]),
 ]
 
 
@@ -241,6 +258,35 @@ _RANK_ENTRY = st.one_of(
 @settings(max_examples=40, deadline=None, database=None)
 @given(weight=st.integers(64, 200).flatmap(lambda n: st.lists(_RANK_ENTRY, min_size=n, max_size=n)))
 def test_format_and_parse_round_trip_at_rank(weight):
-    back = parse_weight(",".join(map(str, weight)))
+    tokens = list(map(str, weight))
+    back = parse_weight(",".join(tokens))
     assert back == tuple(weight)
-    assert all(type(v) is F for v in back)
+    # an entry written a/b parses to a Fraction, any other to an int
+    assert [type(v) for v in back] == [F if "/" in tok else int for tok in tokens]
+
+
+def _as_text(weight) -> str:
+    return ",".join(map(str, weight))
+
+
+def test_parsed_ints_answer_as_their_fractions_at_rank():
+    # the parsed form (ints, with a Fraction only for a/b) against the same values all as Fractions
+    rng = random.Random(2701)
+    for family in "ABCD":
+        for n in (64, 128, 256):
+            kinds = ("integral", "half", "generic")
+            integral, half, generic = (test_gkdim._oracle_weight(rng, family, n, kind) for kind in kinds)
+            for weight in (integral, half, generic, integral[::2] + generic[1::2]):
+                w = parse_weight(_as_text(weight))
+                assert gk_breakdown(w, family) == gk_breakdown(tuple(map(F, w)), family), (family, weight)
+    setups = []
+    for family in "BCD":
+        for n in (64, 128, 256):
+            for kind in ("stacked", "raised", "random"):
+                setup = parabolic_from_composition(family, test_parabolic._random_composition(n, rng))
+                setups.append((test_parabolic._dominant_weight(setup, rng, kind), setup))
+            for kind in ("half", "generic"):
+                setups.append(test_gkdim._p_dominant_weight(rng, family, n, kind))
+    for weight, setup in setups:
+        w = parse_weight(_as_text(weight))
+        assert is_socular(w, setup) == is_socular(tuple(map(F, w)), setup), setup
