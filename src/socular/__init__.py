@@ -18,12 +18,16 @@ _EXPORTS = {
     "gkdim": ("gk_breakdown", "gk_dimension"),
     "hollow": ("f_stat", "hollow", "parity_profile", "render_diagram", "render_hollow"),
     "oracles": (
+        "CongruenceClass",
+        "CongruenceSplit",
         "EnumerationBudget",
         "collapse_oracle",
+        "congruence_decompose",
         "expand_oracle",
         "restricted_transform_oracle",
         "richardson_oracle",
         "socular_enumeration",
+        "tilde",
     ),
     "parabolic": ("SocularCertificate", "is_p_dominant", "is_socular"),
     "partitions": (
@@ -44,15 +48,7 @@ _EXPORTS = {
     ),
     "tableaux": ("render_tableau", "rs_shape", "rs_tableau", "shape"),
     "transforms": ("h_algorithm", "is_domino_type"),
-    "weights": (
-        "CongruenceClass",
-        "CongruenceSplit",
-        "congruence_decompose",
-        "double",
-        "is_integral",
-        "parse_weight",
-        "tilde",
-    ),
+    "weights": ("double", "is_integral", "parse_weight"),
     "zdiagram": ("ZDiagram", "z_closed_forms", "z_diagram"),
 }
 

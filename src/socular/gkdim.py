@@ -16,7 +16,7 @@ after reading the weight; the walk (``_classes``, ``_gk``) is unchecked.
 from .errors import check_family, positive_roots
 from .hollow import _f_stat
 from .tableaux import rs_shape
-from .weights import class_buckets, double, integer_entries, tilde_numerators
+from .weights import _doubled, class_buckets, integer_entries, tilde_numerators
 
 # which F statistic the integral (0, 1) and half-integral (1, 2) classes
 # contribute, keyed by their residue pairs; type A has no such class
@@ -55,7 +55,7 @@ def _classes(nums: list[int], dens: list[int], family: str) -> list:
         if kind is None:
             kind, seq = "a", tuple(vals) if family == "A" else tilde_numerators(vals, d)
         else:
-            seq = double(vals)
+            seq = _doubled(vals)
         classes.append((idxs, d, kind, seq, rs_shape(seq) if d == 1 else rs_shape(seq, d)))
     return classes
 

@@ -2,8 +2,10 @@
 
 These are deliberately naive: collapse and expansion by scanning the whole
 dominance poset, the H-algorithm by enumerating all same-hollow orbit
-partitions, socularity by enumerating integral weights, GK dimension on plain
-``Fraction`` entries.  They exist to be obviously correct.
+partitions, socularity by enumerating integral weights, GK dimension on the
+``Fraction`` congruence split and tilde rewrite (:func:`congruence_decompose`,
+:func:`tilde`), the references for the library's integer ones in
+:mod:`socular.weights`.  They exist to be obviously correct.
 
 Each oracle validates its argument once; the partitions it enumerates come from
 :func:`partitions_of`, which yields canonical tuples, so it tests them with the
@@ -53,6 +55,7 @@ from .richardson import richardson_partition
 from .setups import ParabolicSetup, _as_setup, dim_nilradical, parabolic_from_roots, z_type
 from .tableaux import rs_tableau, shape
 from .transforms import _is_domino_type, h_algorithm
+from .weights import integer_entries
 
 # three families times the totals one sweep reaches, with room to spare
 ORBIT_TABLE_SIZE = 64
@@ -241,37 +244,91 @@ def _class_key(v, grouping: str) -> Fraction:
     return min(f, g)
 
 
+def _fractions(weight) -> list[Fraction]:
+    """A weight's entries as Fractions, read by ``integer_entries``, whose errors they raise."""
+    return [Fraction(x, d) for x, d in zip(*integer_entries(weight))]
+
+
+class CongruenceClass(NamedTuple):
+    """A maximal congruent subsequence of a weight, with 1-based positions."""
+
+    positions: tuple[int, ...]
+    values: tuple[Fraction, ...]
+
+
+class CongruenceSplit(NamedTuple):
+    grouping: str
+    integral: CongruenceClass | None
+    half_integral: CongruenceClass | None
+    others: tuple[CongruenceClass, ...]
+
+    def classes(self) -> tuple[CongruenceClass, ...]:
+        """Every class, ordered by first position."""
+        out = [c for c in (self.integral, self.half_integral) if c is not None]
+        out.extend(self.others)
+        out.sort(key=lambda c: c.positions[0])
+        return tuple(out)
+
+
+def congruence_decompose(weight, grouping: str) -> CongruenceSplit:
+    """Split a weight into maximal congruent subsequences, keyed by fractional part.
+
+    ``grouping="typeA"`` merges entries whose difference is an integer;
+    ``grouping="bcd"`` merges entries whose difference or sum is an integer.
+    Classes keep the original entry order; ``others`` is sorted by the first
+    position of each class.  The reference for ``weights.class_buckets``.
+    """
+    if grouping not in ("typeA", "bcd"):
+        raise DomainError(f"grouping must be 'typeA' or 'bcd', got {grouping!r}")
+    w = _fractions(weight)
+    groups: dict[Fraction, list[int]] = {}
+    for i, v in enumerate(w, 1):
+        groups.setdefault(_class_key(v, grouping), []).append(i)
+    classes = {key: CongruenceClass(tuple(pos), tuple(w[i - 1] for i in pos)) for key, pos in groups.items()}
+    if grouping == "typeA":
+        return CongruenceSplit(grouping, None, None, tuple(classes.values()))
+    integral = classes.pop(0, None)
+    half = classes.pop(Fraction(1, 2), None)
+    return CongruenceSplit(grouping, integral, half, tuple(classes.values()))
+
+
+def tilde(values) -> tuple[Fraction, ...]:
+    """Rewrite one non-integral difference-or-sum class as an integral-difference sequence.
+
+    The entries congruent to the first one (by integral difference) stay put;
+    the remaining entries are negated and appended in reversed order.  The
+    reference for ``weights.tilde_numerators``.
+    """
+    vals = _fractions(values)
+    if not vals:
+        return ()
+    lead = _frac(vals[0])
+    return tuple([v for v in vals if _frac(v) == lead] + [-v for v in reversed(vals) if _frac(v) != lead])
+
+
 def gk_dimension_oracle(weight, family: str) -> int:
     """GK dimension by the paper's formula, on ``Fraction`` entries throughout.
 
-    Classes are keyed by fractional part and every tableau is built in full,
+    The classes come from :func:`congruence_decompose`, the non-integral B/C/D
+    ones are rewritten by :func:`tilde`, and every tableau is built in full,
     uncached: the reference for the integer keys and numerator insertion of
     :func:`gk_dimension`.
     """
-    w = tuple(Fraction(v) for v in weight)
-    n = len(w)
+    split = congruence_decompose(weight, "typeA" if family == "A" else "bcd")
+    n = sum(len(c.positions) for c in split.classes())
     check_family(family, n)
-    grouping = "typeA" if family == "A" else "bcd"
-    classes: dict[Fraction, list[Fraction]] = {}
-    for v in w:
-        classes.setdefault(_class_key(v, grouping), []).append(v)
 
     def penalty(seq, kind: str) -> int:
         return f_stat(shape(rs_tableau(seq)), kind)
 
     if family == "A":
-        return n * (n - 1) // 2 - sum(penalty(vals, "a") for vals in classes.values())
+        return n * (n - 1) // 2 - sum(penalty(c.values, "a") for c in split.others)
     # integral classes give F_b for B and C, F_d for D; half-integral ones F_d for C and D
-    kinds = {Fraction(0): "d" if family == "D" else "b", Fraction(1, 2): "b" if family == "B" else "d"}
-    total = 0
-    for key, vals in classes.items():
-        if key in kinds:
-            total += penalty(vals + [-v for v in reversed(vals)], kinds[key])
-        else:
-            lead = _frac(vals[0])
-            same = [v for v in vals if _frac(v) == lead]
-            rest = [-v for v in reversed(vals) if _frac(v) != lead]
-            total += penalty(same + rest, "a")
+    kinds = ((split.integral, "d" if family == "D" else "b"), (split.half_integral, "b" if family == "B" else "d"))
+    total = sum(penalty(tilde(c.values), "a") for c in split.others)
+    for cls, kind in kinds:
+        if cls is not None:
+            total += penalty(cls.values + tuple(-v for v in reversed(cls.values)), kind)
     return n * n - (n if family == "D" else 0) - total
 
 

@@ -108,4 +108,4 @@ def rs_shape(seq: tuple, den: int = 1) -> Partition:
 
 def render_tableau(tableau: Tableau) -> str:
     """One row per line, entries space-separated, top row first."""
-    return "\n".join(" ".join(str(v) for v in row) for row in tableau)
+    return "\n".join(" ".join(str(v) for v in row) for row in _rows(tableau))

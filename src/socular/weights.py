@@ -1,16 +1,17 @@
-"""Exact-rational weight sequences, doubling maps, and congruence decompositions.
+"""Exact-rational weight sequences: the text readers, the entry reader and the integer core.
 
 Weights are tuples of ints and ``fractions.Fraction``s, which mean the same
 value either way; floats, strings and bools are domain errors.  The text
 readers give an entry written as an integer as an ``int``, and one written
 ``a/b`` as its ``Fraction`` in lowest terms, so ``"4/2"`` gives ``Fraction(2)``.
+The library reads a weight once, with :func:`integer_entries`, and splits and
+rewrites it on ints; their ``Fraction`` references are in :mod:`socular.oracles`.
 All operations are pure; no floating point is used anywhere because the
 downstream criteria are exact equalities.
 """
 
 import re
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import DomainError, _DigitLimit, as_tuple, is_int
 
@@ -62,11 +63,20 @@ def parse_weight(text: str) -> Weight:
 _SEQUENCE_RULE = "a weight must be a sequence of entries"
 
 
+def _doubled(w) -> tuple:
+    """The back doubling of a list or tuple of entries already read: :func:`double` unchecked."""
+    return (*w, *[-v for v in reversed(w)])
+
+
 def double(weight, side: str = "back") -> tuple:
-    """The doubling maps: back gives (x_1,...,x_n,-x_n,...,-x_1), front the reverse half first."""
+    """The doubling maps: back gives (x_1,...,x_n,-x_n,...,-x_1), front the reverse half first.
+    Each entry is checked as :func:`integer_entries` checks it, and kept as it is."""
     w = as_tuple(weight, _SEQUENCE_RULE)
+    for v in w:
+        if type(v) is not int and type(v) is not Fraction:  # the common types skip the call
+            _exact(v)
     if side == "back":
-        return w + tuple([-v for v in reversed(w)])
+        return _doubled(w)
     if side == "front":
         return tuple([-v for v in reversed(w)]) + w
     raise DomainError(f"side must be 'back' or 'front', got {side!r}")
@@ -77,16 +87,6 @@ def _exact(v):
     if not (is_int(v) or isinstance(v, Fraction)):
         raise DomainError(f"weight entries must be ints or Fractions, got {v!r}")
     return v
-
-
-def _as_fraction(v) -> Fraction:
-    return v if type(v) is Fraction else Fraction(_exact(v))
-
-
-def _residue(f: Fraction) -> tuple[int, int]:
-    """The fractional part of ``f`` as the integer pair (numerator mod d, d)."""
-    d = f.denominator
-    return f.numerator % d, d
 
 
 def integer_entries(weight) -> tuple[list[int], list[int]]:
@@ -128,68 +128,8 @@ def class_buckets(nums: list[int], dens: list[int], fold: bool) -> dict[tuple[in
     return buckets
 
 
-class CongruenceClass(NamedTuple):
-    """A maximal congruent subsequence of a weight, with 1-based positions."""
-
-    positions: tuple[int, ...]
-    values: Weight
-
-
-class CongruenceSplit(NamedTuple):
-    grouping: str
-    integral: CongruenceClass | None
-    half_integral: CongruenceClass | None
-    others: tuple[CongruenceClass, ...]
-
-    def classes(self) -> tuple[CongruenceClass, ...]:
-        """Every class, ordered by first position."""
-        out = [c for c in (self.integral, self.half_integral) if c is not None]
-        out.extend(self.others)
-        out.sort(key=lambda c: c.positions[0])
-        return tuple(out)
-
-
-def congruence_decompose(weight, grouping: str) -> CongruenceSplit:
-    """Split a weight into maximal congruent subsequences.
-
-    ``grouping="typeA"`` merges entries whose difference is an integer;
-    ``grouping="bcd"`` merges entries whose difference or sum is an integer.
-    Classes keep the original entry order; ``others`` is sorted by the first
-    position of each class.
-    """
-    if grouping not in ("typeA", "bcd"):
-        raise DomainError(f"grouping must be 'typeA' or 'bcd', got {grouping!r}")
-    w = tuple(map(_as_fraction, as_tuple(weight, _SEQUENCE_RULE)))
-    buckets = class_buckets(*integer_entries(w), grouping == "bcd")
-    classes = {
-        key: CongruenceClass(
-            positions=tuple(i + 1 for i in idxs),
-            values=tuple(w[i] for i in idxs),
-        )
-        for key, idxs in buckets.items()
-    }
-    if grouping == "typeA":
-        return CongruenceSplit(grouping, None, None, tuple(classes.values()))
-    integral = classes.pop((0, 1), None)
-    half = classes.pop((1, 2), None)
-    return CongruenceSplit(grouping, integral, half, tuple(classes.values()))
-
-
-def tilde(values) -> tuple:
-    """Rewrite one non-integral difference-or-sum class as an integral-difference sequence.
-
-    The entries congruent to the first one (by integral difference) stay put;
-    the remaining entries are negated and appended in reversed order.
-    """
-    vals = tuple(map(_as_fraction, as_tuple(values, _SEQUENCE_RULE)))
-    if not vals:
-        return ()
-    lead = _residue(vals[0])
-    return tuple([v for v in vals if _residue(v) == lead] + [-v for v in reversed(vals) if _residue(v) != lead])
-
-
 def tilde_numerators(nums, d: int) -> tuple[int, ...]:
-    """:func:`tilde` on the numerators of a class whose entries share the denominator ``d``."""
+    """The tilde rewrite (``oracles.tilde``) on the numerators of a class whose entries share the denominator ``d``."""
     lead = nums[0] % d
     return tuple([x for x in nums if x % d == lead] + [-x for x in reversed(nums) if x % d != lead])
 

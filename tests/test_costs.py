@@ -58,6 +58,13 @@ GROWTH = {
         1000,
         2.2,
     ),
+    # the Z-shape of (1, 2, ..., m, 0) has many wrong-parity columns: many collapse steps
+    "richardson_partition-B-staircase": (
+        richardson_partition,
+        lambda m: (parabolic_from_composition("B", (*range(1, m + 1), 0)),),
+        30,
+        2.2,
+    ),
     "expand-C-m11": (expand, lambda m: ((m, 1, 1), "C"), 1000, 2.2),
     "h_algorithm-D-z-shape": (h_algorithm, _z_shape_d, 100, 2.2),
     # RS insertion of a random word is superlinear: its rows grow with the word

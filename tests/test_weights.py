@@ -22,7 +22,8 @@ from socular import (
     parse_weight,
     tilde,
 )
-from socular.weights import integer_entries, is_integral, parse_rational
+from socular.oracles import gk_dimension_oracle
+from socular.weights import class_buckets, integer_entries, is_integral, parse_rational, tilde_numerators
 
 
 def test_double_single_entry():
@@ -122,6 +123,53 @@ def test_tilde_gives_integral_differences():
             assert all((a - b).denominator == 1 for a in out for b in out)
 
 
+def _check_integer_core_against_the_reference(w):
+    """``class_buckets`` and ``tilde_numerators`` give the classes and rewrites of the oracles'
+    ``congruence_decompose`` and ``tilde``: the same positions and entries, in first-position
+    order, the same integral and half-integral classes, and the numerators of each tilde."""
+    nums, dens = integer_entries(w)
+    for grouping in ("typeA", "bcd"):
+        split = congruence_decompose(w, grouping)
+        buckets = class_buckets(nums, dens, grouping == "bcd")
+        got = [(tuple(i + 1 for i in idxs), tuple(w[i] for i in idxs)) for idxs in buckets.values()]
+        assert got == [tuple(c) for c in split.classes()], (w, grouping)
+        if grouping == "typeA":
+            continue
+        for key, cls in (((0, 1), split.integral), ((1, 2), split.half_integral)):
+            assert (key in buckets) == (cls is not None), (w, key)
+            if cls is not None:
+                assert tuple(i + 1 for i in buckets[key]) == cls.positions, (w, key)
+        for cls in split.others:
+            d = cls.values[0].denominator
+            seq = tilde_numerators([nums[i - 1] for i in cls.positions], d)
+            assert tuple(F(x, d) for x in seq) == tilde(cls.values), (w, cls)
+
+
+# the entries and the largest rank of the product-set tests above
+PRODUCT_SETS = [
+    ([0, 1, F(1, 2), F(1, 3), F(2, 3), F(-1, 4)], 4),
+    ([0, F(1, 2), F(1, 3), F(-2, 3), F(1, 4), 2], 3),
+    ([F(1, 3), F(-2, 3), F(4, 3), F(5, 3), F(1, 4), F(3, 4)], 4),
+]
+
+
+@pytest.mark.parametrize("values, rank", PRODUCT_SETS)
+def test_integer_split_matches_the_fraction_reference_on_product_sets(values, rank):
+    for n in range(1, rank + 1):
+        for w in product(values, repeat=n):
+            _check_integer_core_against_the_reference(w)
+
+
+_MIXED_ENTRY = st.one_of(st.integers(-50, 50), st.builds(F, st.integers(-50, 50), st.integers(1, 8)))
+
+
+@seed(2801)
+@settings(max_examples=40, deadline=None, database=None)
+@given(weight=st.lists(_MIXED_ENTRY, min_size=64, max_size=64))
+def test_integer_split_matches_the_fraction_reference_at_rank_64(weight):
+    _check_integer_core_against_the_reference(tuple(weight))
+
+
 # text, the parsed entries and their exact types: an integer is an int, a/b a Fraction
 PARSED = [
     ("-5,-6,-4,1/2", (-5, -6, -4, F(1, 2)), (int, int, int, F)),
@@ -171,6 +219,8 @@ def test_is_integral():
 def test_gk_dimension_rejects_inexact_entries(weight):
     with pytest.raises(DomainError):
         gk_dimension(weight, "B")
+    with pytest.raises(DomainError):  # the reference reads its entries the same way
+        gk_dimension_oracle(weight, "B")
 
 
 def test_socularity_rejects_float_entries():
@@ -246,6 +296,19 @@ def test_integer_entries_refuses_inexact_entries(weight, message):
     with pytest.raises(DomainError) as exc:
         integer_entries(weight)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("side", ["back", "front"])
+@pytest.mark.parametrize("weight, message", BAD_ENTRIES)
+def test_double_refuses_inexact_entries_as_integer_entries_does(weight, message, side):
+    with pytest.raises(DomainError) as exc:
+        double(weight, side)
+    assert str(exc.value) == message
+
+
+def test_double_keeps_each_entry_as_it_is():
+    assert list(map(type, double((3, F(1, 2)), "back"))) == [int, F, F, int]
+    assert list(map(type, double((3, F(1, 2)), "front"))) == [F, int, int, F]
 
 
 _RANK_ENTRY = st.one_of(
