@@ -20,9 +20,13 @@ next to one mask of the special partitions and one per hollow key.  An
 oracle gets its candidates by ANDing about ``len(p)`` masks, not by comparing
 ``p`` with every orbit partition; every orbit partition is still a candidate.
 The p-dominant weights of a window are generated block by block instead of
-filtered out of the whole window, with their own tail-root test, and
-``check_socular`` reads GK dimension and the criterion's class shape from one
-GK walk per weight of a rank, not one per setup.
+filtered out of the whole window, with their own tail-root test.  Every
+window weight is integral, so ``check_socular`` and ``socular_enumeration``
+take GK dimension by the paper's integral formula on one RS shape, the
+weight's for A and the doubled weight's for B/C/D: the positive-root count
+less F_a (A), F_b (B, C) or F_d (D) of that shape, whose hollow key or
+transpose is also the criterion's candidate side.  ``check_socular`` reads
+each weight of a rank once, not once per setup.
 The fast-against-oracle checks (collapse, expand, H-algorithm, Richardson)
 share one runner, :func:`_mismatches`, each feeding it a generator of cases.
 """
@@ -33,9 +37,8 @@ from itertools import accumulate, chain, combinations, product
 from operator import or_
 from typing import NamedTuple
 
-from .errors import FAMILIES, DomainError, IntegrityError, as_tuple, check_family, is_int
-from .gkdim import _gk, gk_dimension
-from .hollow import FAMILY_PARITY, _hollow_key, f_stat
+from .errors import FAMILIES, DomainError, IntegrityError, as_tuple, check_family, is_int, positive_roots
+from .hollow import FAMILY_PARITY, _f_stat, _hollow_key, f_stat
 from .parabolic import _integral_candidate, _integral_target
 from .partitions import (
     ORBIT_FAMILIES,
@@ -53,9 +56,9 @@ from .partitions import (
 )
 from .richardson import richardson_partition
 from .setups import ParabolicSetup, _as_setup, dim_nilradical, parabolic_from_roots, z_type
-from .tableaux import rs_tableau, shape
+from .tableaux import rs_shape, rs_tableau, shape
 from .transforms import _is_domino_type, h_algorithm
-from .weights import integer_entries
+from .weights import _doubled, integer_entries
 
 # three families times the totals one sweep reaches, with room to spare
 ORBIT_TABLE_SIZE = 64
@@ -391,11 +394,27 @@ def _dominant_weights(setup: ParabolicSetup, budget: EnumerationBudget) -> list[
     return [w for w in weights if w[-2] + w[-1] > 0]
 
 
+def _window_facts(w: tuple[int, ...], family: str, ambient: int) -> tuple[int, tuple]:
+    """(GK dimension, criterion candidate) of an integral weight of the family and rank.
+
+    The paper's integral formula on one RS shape, the weight's for A and the
+    doubled weight's for B/C/D: ``ambient``, the positive-root count of the
+    rank, less F_a, F_d for D or F_b for B and C, the statistics that
+    :func:`gk_dimension_oracle` gives the integral class.  The same shape gives
+    the candidate side of the socularity criterion.
+    """
+    sh = rs_shape(w) if family == "A" else rs_shape(_doubled(w))
+    kind = "a" if family == "A" else ("d" if family == "D" else "b")
+    return ambient - _f_stat(sh, kind), _integral_candidate(sh, family)
+
+
 def socular_enumeration(setup: ParabolicSetup, budget: EnumerationBudget):
     """Maximum GK dimension over windowed integral p-dominant weights, with witnesses."""
     _check_budget(budget)
-    weights = _dominant_weights(_as_setup(setup), budget)
-    gks = [gk_dimension(w, setup.family) for w in weights]
+    setup = _as_setup(setup)
+    weights = _dominant_weights(setup, budget)
+    ambient = positive_roots(setup.family, setup.n)
+    gks = [_window_facts(w, setup.family, ambient)[0] for w in weights]
     best = max(gks, default=-1)
     return best, [w for w, g in zip(weights, gks) if g == best]
 
@@ -470,9 +489,10 @@ def check_halg(budget: EnumerationBudget) -> list[str]:
 def check_socular(budget: EnumerationBudget, families=FAMILIES) -> list[str]:
     """For every setup: max GK equals dim(u) and the attaining weights are the socular ones.
 
-    Each distinct p-dominant weight of a family and rank gets one GK call,
-    however many setups of that rank hold it, and its one class shape gives
-    the criterion's candidate side; the verdict comes from the combinatorial
+    Each distinct p-dominant weight of a family and rank gets one
+    :func:`_window_facts` call, however many setups of that rank hold it: one
+    RS shape gives its GK dimension by the integral formula and the
+    criterion's candidate side, and the verdict comes from the combinatorial
     criterion alone (every window weight is integral).  A setup whose window
     holds no p-dominant weight has nothing to compare and is skipped; a call in
     which no setup compares anything raises ``DomainError``.
@@ -485,15 +505,14 @@ def check_socular(budget: EnumerationBudget, families=FAMILIES) -> list[str]:
         rank = None
         for setup in _all_setups(family, budget.max_n):
             if setup.n != rank:  # the memo holds one rank's weights at a time
-                rank, facts, ones = setup.n, {}, [1] * setup.n
+                rank, facts, ambient = setup.n, {}, positive_roots(family, setup.n)
             dominant = _dominant_weights(setup, budget)
             if not dominant:
                 continue
             compared += 1
             for w in dominant:
-                if w not in facts:  # a built setup's family and rank: the unchecked walk
-                    gk, _, classes = _gk(list(w), ones, family)
-                    facts[w] = gk, _integral_candidate(classes[0][4], family)
+                if w not in facts:
+                    facts[w] = _window_facts(w, family, ambient)
             best = max(facts[w][0] for w in dominant)
             du = dim_nilradical(setup)
             if best != du:

@@ -9,7 +9,7 @@ zero orbit of the small Levi factor, 2*n_k + 1 boxes for B and 2*n_k for C and D
 from typing import NamedTuple
 
 from .errors import FAMILIES, DomainError
-from .partitions import Partition, _collapse, _transpose, as_partition
+from .partitions import Partition, _collapse, _is_orbit, _transpose, as_partition
 from .setups import ParabolicSetup, _as_setup
 from .zdiagram import _z_shape
 
@@ -37,11 +37,14 @@ def orbit_dimension(partition, family: str) -> int:
     With q the transpose and m the total: A gives m^2 - sum q_i^2; the
     orthogonal families give m(m-1)/2 - (sum q_i^2 - #odd parts)/2; the
     symplectic family gives m(m+1)/2 - (sum q_i^2 + #odd parts)/2.  The sum
-    of squared column heights is read off the rows as sum (2i-1) p_i.
+    of squared column heights is read off the rows as sum (2i-1) p_i.  A B/C/D
+    partition must label an orbit of its family (:func:`is_orbit_partition`).
     """
     p = as_partition(partition)
     if family not in FAMILIES:
         raise DomainError(f"family must be one of {FAMILIES}, got {family!r}")
+    if family != "A" and not _is_orbit(p, family):
+        raise DomainError(f"{p} is not an orbit partition of type {family}")
     m = sum(p)
     sq = sum((2 * i + 1) * v for i, v in enumerate(p))
     odd = sum(1 for v in p if v % 2 == 1)

@@ -129,7 +129,11 @@ def test_criterion_3_formula_consistency():
         sh = z_diagram(a0, bs).shape
         assert fb == f_stat(sh, "b") and fd == f_stat(sh, "d")
 
-    # the general formula reduces to the integral one on the criterion-2 window
+    # the general formula reduces to the integral one on the criterion-2 window,
+    # the formula check_socular takes GK dimension by
+    for n in _ranks("A"):
+        for w in product(range(WINDOW[0], WINDOW[1] + 1), repeat=n):
+            assert gk_dimension(w, "A") == n * (n - 1) // 2 - f_stat(rs_shape(w), "a")
     for family in ("B", "C", "D"):
         for n in _ranks(family):
             kind = "b" if family in ("B", "C") else "d"

@@ -22,7 +22,7 @@ import test_parabolic
 import test_partitions
 import test_transforms
 import test_weights
-from socular import gkdim, parabolic, partitions, tableaux, transforms, zdiagram
+from socular import gkdim, oracles, parabolic, partitions, tableaux, transforms, zdiagram
 from socular.oracles import EnumerationBudget, check_collapse, check_expand, check_socular
 
 # ``from socular import hollow`` binds the function, not the module
@@ -65,6 +65,13 @@ MUTANTS = {
         "[((d - 1, d), range(n))]",
         "[((0, d), range(n))]",
         test_gkdim.test_classes_over_different_denominators_keep_apart_in_the_cache,
+    ),
+    "window-facts-reads-d-integral-with-f-b": (
+        oracles._window_facts,
+        '"d" if family == "D"',
+        '"b" if family == "D"',
+        # the oracle's own statistic: D's maxima miss dim u
+        lambda: [f for f in check_socular(SMALL) if "max GK" in f],
     ),
     "gk-dimension-skips-the-family-check": (
         gkdim.gk_dimension,

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from itertools import accumulate
 from operator import ge
@@ -23,7 +24,7 @@ from socular import (
     socular_enumeration,
     z_diagram,
 )
-from socular import oracles, partitions, richardson
+from socular import gkdim, oracles, partitions, richardson
 from socular.hollow import FAMILY_PARITY, _hollow_key
 from socular.oracles import check_collapse, check_expand, check_halg, check_richardson, check_socular, integral_weights
 from socular.parabolic import _p_dominant
@@ -140,15 +141,15 @@ def test_check_socular_skips_window_without_dominant_weight():
 
 def test_check_socular_still_reports_a_wrong_maximum(monkeypatch):
     budget = EnumerationBudget(entry_window=(-2, 2), max_n=2)
-    real_gk = oracles._gk
-    monkeypatch.setattr(oracles, "_gk", lambda nums, dens, family: (0, *real_gk(nums, dens, family)[1:]))
+    real_facts = oracles._window_facts
+    monkeypatch.setattr(oracles, "_window_facts", lambda w, family, ambient: (0, *real_facts(w, family, ambient)[1:]))
     failures = check_socular(budget, ("B",))
     assert failures and all("max GK 0 != dim u" in f for f in failures)
 
 
 def test_check_socular_computes_gk_once_per_dominant_weight(monkeypatch):
-    # one GK walk and one rs_shape lookup per distinct (family, weight), however
-    # many setups of its rank hold it
+    # one _window_facts call and one rs_shape lookup per distinct (family, weight),
+    # however many setups of its rank hold it, and no GK walk of the library
     budget = EnumerationBudget(entry_window=(-3, 3), max_n=2)
     dominant = len(
         {
@@ -159,23 +160,28 @@ def test_check_socular_computes_gk_once_per_dominant_weight(monkeypatch):
             if is_p_dominant(w, setup)
         }
     )
-    walks = []
-    real_gk = oracles._gk
+    calls = []
+    real_facts = oracles._window_facts
 
-    def counting_gk(nums, dens, family):
-        walks.append((family, tuple(nums)))
-        return real_gk(nums, dens, family)
+    def counting_facts(w, family, ambient):
+        calls.append((family, w))
+        return real_facts(w, family, ambient)
 
-    def no_second_path(w, family):
-        raise AssertionError("check_socular computes GK only through its _gk walk")
+    def no_second_path(*args):
+        raise AssertionError("check_socular computes GK only through _window_facts")
 
-    monkeypatch.setattr(oracles, "_gk", counting_gk)
-    monkeypatch.setattr(oracles, "gk_dimension", no_second_path)
+    monkeypatch.setattr(oracles, "_window_facts", counting_facts)
+    library_gk = (gkdim._gk, gkdim.gk_dimension)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("socular"):
+            for attr, value in list(vars(module).items()):
+                if any(value is f for f in library_gk):
+                    monkeypatch.setattr(module, attr, no_second_path)
     rs_shape.cache_clear()
     assert check_socular(budget) == []
     info = rs_shape.cache_info()
     assert dominant == 210
-    assert len(walks) == len(set(walks)) == dominant
+    assert len(calls) == len(set(calls)) == dominant
     # 98 distinct sequences: families share some, and the rest are hits
     assert (info.hits + info.misses, info.misses) == (dominant, 98)
 

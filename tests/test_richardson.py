@@ -96,6 +96,18 @@ def test_orbit_dimension_validation():
         orbit_dimension((2, 2), "E")
 
 
+@pytest.mark.parametrize("partition, family", [((3,), "D"), ((2,), "B"), ((1,), "C")])
+def test_orbit_dimension_refuses_a_partition_that_labels_no_orbit(partition, family):
+    # the error is the one is_special and expand give
+    with pytest.raises(DomainError) as got:
+        orbit_dimension(partition, family)
+    with pytest.raises(DomainError) as special:
+        is_special(partition, family)
+    assert str(got.value) == str(special.value) == f"{partition} is not an orbit partition of type {family}"
+    with pytest.raises(DomainError, match="^family must be one of"):  # the unknown family is refused first
+        orbit_dimension(partition, "E")
+
+
 def test_richardson_agrees_with_h_algorithm_on_z_shape():
     # the collapse-based rules and the hollow-diagram algorithm coincide on
     # Z-diagram shapes, for B included (there H supplies the extra box itself)
