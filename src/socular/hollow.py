@@ -5,7 +5,9 @@ when k+l is odd.  A hollow shape keeps only the cells of one parity; it is
 fixed by its per-row counts (p^ev or p^odd), which is how the library compares
 hollow shapes.  Only :func:`hollow` builds the cells.  Every count comes from
 one kernel, :func:`_row_counts`: a plain loop, as most shapes have a few rows,
-too few to pay for building an iterator chain.
+too few to pay for building an iterator chain.  One more loop over those
+counts, :func:`_last_columns`, gives each row's last box of the parity, which
+the cells and the H-algorithm read.
 """
 
 from .errors import DomainError
@@ -48,17 +50,25 @@ def _key_of(counts: tuple[int, ...]) -> tuple[int, ...]:
     return counts[:-1] if counts and not counts[-1] else counts
 
 
-def _first_column(k: int, parity: str) -> int:
-    """The column, 1 or 2, of the first box of ``parity`` in row k (1-based):
-    row k starts with an even box when k is odd."""
-    return 1 if k % 2 == (parity == "even") else 2
+def _last_columns(counts: tuple[int, ...], parity: str) -> list[int]:
+    """Each row's last column holding a box of ``parity``, 0 for a row with none,
+    from the row's :func:`_row_counts` entry: a row that starts with a box of
+    ``parity`` holds them in columns 1, 3, ..., 2c - 1, any other in 2, 4, ..., 2c."""
+    lead = parity == "even"  # whether the row at hand starts with a box of ``parity``
+    last = []
+    for c in counts:
+        last.append(2 * c - lead)
+        lead = not lead
+    return last
 
 
 def _cells(counts, parity: str) -> HollowShape:
     """The hollow shape of ``parity`` with the given per-row counts: row k's
-    cells start in its :func:`_first_column` and step by 2."""
+    c cells end in its :func:`_last_columns` entry, 2 columns apart."""
     return frozenset(
-        (k, l) for k, c in enumerate(counts, 1) for l in range(_first_column(k, parity), 2 * c + 1, 2)
+        (k, l)
+        for k, (c, end) in enumerate(zip(counts, _last_columns(counts, parity)), 1)
+        for l in range(end - 2 * c + 2, end + 1, 2)
     )
 
 

@@ -25,8 +25,11 @@ window weight is integral, so ``check_socular`` and ``socular_enumeration``
 take GK dimension by the paper's integral formula on one RS shape, the
 weight's for A and the doubled weight's for B/C/D: the positive-root count
 less F_a (A), F_b (B, C) or F_d (D) of that shape, whose hollow key or
-transpose is also the criterion's candidate side.  ``check_socular`` reads
-each weight of a rank once, not once per setup.
+transpose is also the criterion's candidate side.  Both are functions of the
+shape, so they are computed once per distinct shape of a call, family and
+rank.  ``check_socular`` looks each weight of a rank up once, not once per
+setup, and judges a setup once per distinct (GK, candidate) pair of its
+weights, walking the weights only to name those of a pair that disagrees.
 The fast-against-oracle checks (collapse, expand, H-algorithm, Richardson)
 share one runner, :func:`_mismatches`, each feeding it a generator of cases.
 """
@@ -394,27 +397,38 @@ def _dominant_weights(setup: ParabolicSetup, budget: EnumerationBudget) -> list[
     return [w for w in weights if w[-2] + w[-1] > 0]
 
 
-def _window_facts(w: tuple[int, ...], family: str, ambient: int) -> tuple[int, tuple]:
-    """(GK dimension, criterion candidate) of an integral weight of the family and rank.
+def _window_shape(w: tuple[int, ...], family: str) -> Partition:
+    """The one RS shape an integral weight's GK dimension and candidate read:
+    the weight's for A, the doubled weight's for B/C/D."""
+    return rs_shape(w) if family == "A" else rs_shape(_doubled(w))
 
-    The paper's integral formula on one RS shape, the weight's for A and the
-    doubled weight's for B/C/D: ``ambient``, the positive-root count of the
+
+def _shape_facts(sh: Partition, family: str, ambient: int) -> tuple[int, tuple]:
+    """(GK dimension, criterion candidate) of the integral weights whose :func:`_window_shape` is ``sh``.
+
+    The paper's integral formula: ``ambient``, the positive-root count of the
     rank, less F_a, F_d for D or F_b for B and C, the statistics that
     :func:`gk_dimension_oracle` gives the integral class.  The same shape gives
     the candidate side of the socularity criterion.
     """
-    sh = rs_shape(w) if family == "A" else rs_shape(_doubled(w))
     kind = "a" if family == "A" else ("d" if family == "D" else "b")
     return ambient - _f_stat(sh, kind), _integral_candidate(sh, family)
 
 
 def socular_enumeration(setup: ParabolicSetup, budget: EnumerationBudget):
-    """Maximum GK dimension over windowed integral p-dominant weights, with witnesses."""
+    """Maximum GK dimension over windowed integral p-dominant weights, with witnesses.
+
+    Each weight's shape is looked up once and each distinct shape's GK
+    dimension is computed once.
+    """
     _check_budget(budget)
     setup = _as_setup(setup)
+    family = setup.family
     weights = _dominant_weights(setup, budget)
-    ambient = positive_roots(setup.family, setup.n)
-    gks = [_window_facts(w, setup.family, ambient)[0] for w in weights]
+    shapes = [_window_shape(w, family) for w in weights]
+    ambient = positive_roots(family, setup.n)
+    gk_of = {sh: _shape_facts(sh, family, ambient)[0] for sh in dict.fromkeys(shapes)}
+    gks = [gk_of[sh] for sh in shapes]
     best = max(gks, default=-1)
     return best, [w for w, g in zip(weights, gks) if g == best]
 
@@ -490,12 +504,15 @@ def check_socular(budget: EnumerationBudget, families=FAMILIES) -> list[str]:
     """For every setup: max GK equals dim(u) and the attaining weights are the socular ones.
 
     Each distinct p-dominant weight of a family and rank gets one
-    :func:`_window_facts` call, however many setups of that rank hold it: one
-    RS shape gives its GK dimension by the integral formula and the
-    criterion's candidate side, and the verdict comes from the combinatorial
-    criterion alone (every window weight is integral).  A setup whose window
-    holds no p-dominant weight has nothing to compare and is skipped; a call in
-    which no setup compares anything raises ``DomainError``.
+    :func:`_window_shape` lookup, however many setups of that rank hold it,
+    and each distinct shape of the rank one :func:`_shape_facts` call: its
+    GK dimension by the integral formula and the criterion's candidate side.
+    The verdict comes from the combinatorial criterion alone (every window
+    weight is integral), so a setup compares it once per distinct (GK,
+    candidate) pair of its weights, and walks the weights, in order, only
+    when some pair disagrees.  A setup whose window holds no p-dominant
+    weight has nothing to compare and is skipped; a call in which no setup
+    compares anything raises ``DomainError``.
     """
     _check_budget(budget)
     families = as_tuple(families, "families must be a sequence of family names")
@@ -504,22 +521,29 @@ def check_socular(budget: EnumerationBudget, families=FAMILIES) -> list[str]:
     for family in families:
         rank = None
         for setup in _all_setups(family, budget.max_n):
-            if setup.n != rank:  # the memo holds one rank's weights at a time
-                rank, facts, ambient = setup.n, {}, positive_roots(family, setup.n)
+            if setup.n != rank:  # the memos hold one rank's weights and shapes at a time
+                rank, facts, by_shape = setup.n, {}, {}
+                ambient = positive_roots(family, setup.n)
             dominant = _dominant_weights(setup, budget)
             if not dominant:
                 continue
             compared += 1
             for w in dominant:
                 if w not in facts:
-                    facts[w] = _window_facts(w, family, ambient)
-            best = max(facts[w][0] for w in dominant)
+                    sh = _window_shape(w, family)
+                    if sh not in by_shape:
+                        by_shape[sh] = _shape_facts(sh, family, ambient)
+                    facts[w] = by_shape[sh]
+            pairs = set(map(facts.__getitem__, dominant))
+            best = max(g for g, _ in pairs)
             du = dim_nilradical(setup)
             if best != du:
                 failures.append(f"{setup}: max GK {best} != dim u {du}")
                 continue
             target = _integral_target(setup)
-            for w in dominant:
+            if all((candidate == target) == (g == best) for g, candidate in pairs):
+                continue
+            for w in dominant:  # some pair disagrees: name each of its weights, in order
                 g, candidate = facts[w]
                 verdict = candidate == target
                 if verdict != (g == best):

@@ -62,9 +62,9 @@ def rs_tableau(seq) -> Tableau:
 
 
 def shape(tableau: Tableau) -> Partition:
-    """Row lengths of a tableau, as a partition."""
+    """Row lengths of a tableau, as a partition: rows weakly shorter downwards, none empty."""
     sh = tuple(map(len, _rows(tableau)))
-    if any(sh[i] < sh[i + 1] for i in range(len(sh) - 1)):
+    if 0 in sh or any(sh[i] < sh[i + 1] for i in range(len(sh) - 1)):
         raise DomainError(f"rows do not form a partition shape: {sh}")
     return sh
 

@@ -10,8 +10,9 @@ parity, for its domino test, its rows and its final hollow self-check.
 
 The H-algorithm turns a domino-type partition of 2n into a special partition
 (of 2n+1 for B, of 2n for C and D) with exactly the same odd boxes (B, C) or
-even boxes (D).  It works on the hollow diagram of the retained parity, whose
-counts give each row's last retained column:
+even boxes (D).  It works on the hollow diagram of the retained parity: one
+loop over its counts, :func:`socular.hollow._last_columns`, gives each row's
+last retained column, and the pairing rule is :func:`_pair_blocked`'s alone:
 
 1. scan rows top to bottom, greedily pairing off consecutive rows whose last
    retained boxes form the one-step staircase (such a pair is left unlabeled
@@ -22,7 +23,7 @@ counts give each row's last retained column:
 """
 
 from .errors import DomainError, IntegrityError
-from .hollow import FAMILY_PARITY, _first_column, _hollow_key, _key_of, _row_counts
+from .hollow import FAMILY_PARITY, _hollow_key, _key_of, _last_columns, _row_counts
 from .partitions import Partition, _check_orbit_family, as_partition
 
 
@@ -54,7 +55,7 @@ def h_algorithm(p, family: str) -> Partition:
     counts = _row_counts(p, parity)
     if 2 * sum(counts) != sum(p):
         raise DomainError(f"{p} is not of domino type")
-    last = [2 * c - 2 + _first_column(k, parity) for k, c in enumerate(counts, 1)]
+    last = _last_columns(counts, parity)
     extending = 1 if family == "B" else 0
 
     lengths: list[int] = []

@@ -3,21 +3,24 @@
 A row names a kernel, one edit to its source text and what must catch the
 edited kernel: a named test, which must then fail, or an oracle check at a
 small budget, which must then report mismatch lines.  The edit is made to the
-source that ``inspect`` reads, the function is rebuilt in its own module's
-namespace, and every name in the library and test modules that is bound to
-the original is pointed at the mutant for the duration of the row.  Before
-that, the killer must pass on the real kernel, so that a row proves a catch
-and not a killer that always fails.
+source that ``inspect`` reads, the function is rebuilt to read its own
+module's names (a decorated one reads a copy of them), so that a killer's own
+patches reach it, and every name in the library and test modules that is
+bound to the original is pointed at the mutant for the duration of the row.
+Before that, the killer must pass on the real kernel, so that a row proves a
+catch and not a killer that always fails.
 """
 
 import importlib
 import inspect
 import sys
+import types
 
 import pytest
 
 import test_gkdim
 import test_hollow
+import test_oracles
 import test_parabolic
 import test_partitions
 import test_transforms
@@ -37,6 +40,11 @@ LONG_WORDS = EnumerationBudget(max_total=8, entry_window=(-1, 1), max_n=5)
 def _every_integer_entries_row():
     for row in test_weights.INTEGER_ENTRIES:
         test_weights.test_integer_entries_reads_plain_ints(*row)
+
+
+def _disagreeing_weights_in_order():
+    with pytest.MonkeyPatch.context() as patch:
+        test_oracles.test_check_socular_names_each_disagreeing_weight_in_order(patch)
 
 
 # kernel, the text its source must hold once, the text that replaces it, the killer
@@ -67,11 +75,18 @@ MUTANTS = {
         test_gkdim.test_classes_over_different_denominators_keep_apart_in_the_cache,
     ),
     "window-facts-reads-d-integral-with-f-b": (
-        oracles._window_facts,
+        oracles._shape_facts,
         '"d" if family == "D"',
         '"b" if family == "D"',
         # the oracle's own statistic: D's maxima miss dim u
         lambda: [f for f in check_socular(SMALL) if "max GK" in f],
+    ),
+    "check-socular-skips-the-per-weight-fallback": (
+        oracles.check_socular,
+        "if all((candidate == target) == (g == best) for g, candidate in pairs):",
+        "if True:",
+        # a wrong criterion target makes pairs disagree, and only the fallback names their weights
+        _disagreeing_weights_in_order,
     ),
     "gk-dimension-skips-the-family-check": (
         gkdim.gk_dimension,
@@ -162,9 +177,16 @@ def _mutant(kernel, old: str, new: str):
     """``kernel`` rebuilt from its source with ``old`` replaced by ``new``, decorators included."""
     source = inspect.getsource(kernel)
     assert source.count(old) == 1, f"{kernel.__qualname__} no longer holds {old!r} once"
-    namespace = dict(vars(sys.modules[kernel.__module__]))
+    module = vars(sys.modules[kernel.__module__])
+    namespace = dict(module)
     exec(compile(source.replace(old, new), f"<mutant of {kernel.__qualname__}>", "exec"), namespace)
-    return namespace[kernel.__name__]
+    built = namespace[kernel.__name__]
+    if not isinstance(built, types.FunctionType):  # a decorated kernel keeps the copy's names
+        return built
+    # a plain function reads the module's own names, so a killer's patches reach it
+    mutant = types.FunctionType(built.__code__, module, built.__name__, built.__defaults__, built.__closure__)
+    mutant.__kwdefaults__ = built.__kwdefaults__
+    return mutant
 
 
 def _failures(killer) -> list[str]:

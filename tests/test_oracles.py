@@ -11,8 +11,10 @@ from socular import (
     IntegrityError,
     collapse_oracle,
     dim_nilradical,
+    double,
     expand,
     expand_oracle,
+    gk_dimension,
     is_domino_type,
     is_orbit_partition,
     is_p_dominant,
@@ -25,9 +27,10 @@ from socular import (
     z_diagram,
 )
 from socular import gkdim, oracles, partitions, richardson
+from socular.errors import FAMILIES
 from socular.hollow import FAMILY_PARITY, _hollow_key
 from socular.oracles import check_collapse, check_expand, check_halg, check_richardson, check_socular, integral_weights
-from socular.parabolic import _p_dominant
+from socular.parabolic import _integral_candidate, _integral_target, _p_dominant
 from socular.partitions import ORBIT_FAMILIES, _dominates, _is_orbit, _is_special, partitions_of
 from socular.richardson import RichardsonResult
 from socular.setups import z_type
@@ -141,36 +144,37 @@ def test_check_socular_skips_window_without_dominant_weight():
 
 def test_check_socular_still_reports_a_wrong_maximum(monkeypatch):
     budget = EnumerationBudget(entry_window=(-2, 2), max_n=2)
-    real_facts = oracles._window_facts
-    monkeypatch.setattr(oracles, "_window_facts", lambda w, family, ambient: (0, *real_facts(w, family, ambient)[1:]))
+    real_facts = oracles._shape_facts
+    monkeypatch.setattr(oracles, "_shape_facts", lambda sh, family, ambient: (0, *real_facts(sh, family, ambient)[1:]))
     failures = check_socular(budget, ("B",))
     assert failures and all("max GK 0 != dim u" in f for f in failures)
 
 
 def test_check_socular_computes_gk_once_per_dominant_weight(monkeypatch):
-    # one _window_facts call and one rs_shape lookup per distinct (family, weight),
-    # however many setups of its rank hold it, and no GK walk of the library
+    # one rs_shape lookup per distinct (family, weight) and one _shape_facts call per
+    # distinct (family, rank, shape), however many setups of its rank hold it, and
+    # no GK walk of the library
     budget = EnumerationBudget(entry_window=(-3, 3), max_n=2)
-    dominant = len(
-        {
-            (family, w)
-            for family in "ABCD"
-            for setup in oracles._all_setups(family, budget.max_n)
-            for w in integral_weights(setup.n, budget.entry_window)
-            if is_p_dominant(w, setup)
-        }
-    )
+    dominant = {
+        (family, w)
+        for family in "ABCD"
+        for setup in oracles._all_setups(family, budget.max_n)
+        for w in integral_weights(setup.n, budget.entry_window)
+        if is_p_dominant(w, setup)
+    }
+    # a shape's size, n for A and 2n for B/C/D, gives the rank
+    shapes = {(family, rs_shape(w if family == "A" else double(w))) for family, w in dominant}
     calls = []
-    real_facts = oracles._window_facts
+    real_facts = oracles._shape_facts
 
-    def counting_facts(w, family, ambient):
-        calls.append((family, w))
-        return real_facts(w, family, ambient)
+    def counting_facts(sh, family, ambient):
+        calls.append((family, sh))
+        return real_facts(sh, family, ambient)
 
     def no_second_path(*args):
-        raise AssertionError("check_socular computes GK only through _window_facts")
+        raise AssertionError("check_socular computes GK only through _shape_facts")
 
-    monkeypatch.setattr(oracles, "_window_facts", counting_facts)
+    monkeypatch.setattr(oracles, "_shape_facts", counting_facts)
     library_gk = (gkdim._gk, gkdim.gk_dimension)
     for name, module in list(sys.modules.items()):
         if name.startswith("socular"):
@@ -180,28 +184,64 @@ def test_check_socular_computes_gk_once_per_dominant_weight(monkeypatch):
     rs_shape.cache_clear()
     assert check_socular(budget) == []
     info = rs_shape.cache_info()
-    assert dominant == 210
-    assert len(calls) == len(set(calls)) == dominant
+    assert (len(dominant), len(shapes)) == (210, 21)
+    assert len(calls) == len(set(calls)) == len(shapes)
+    assert set(calls) == shapes
     # 98 distinct sequences: families share some, and the rest are hits
-    assert (info.hits + info.misses, info.misses) == (dominant, 98)
+    assert (info.hits + info.misses, info.misses) == (len(dominant), 98)
+
+
+def _odd_d_target(setup):
+    """The criterion's target with D's Z-diagram read in odd parity: a wrong rule."""
+    if setup.family != "D":
+        return _integral_target(setup)
+    a0, bs = z_type(setup)
+    return _hollow_key(z_diagram(a0, bs).shape, "odd")
 
 
 def test_check_socular_reports_a_wrong_criterion_target(monkeypatch):
     # D's Z-diagram read in odd parity: the criterion disagrees with GK
     # attainment on some weights, while every maximum is still dim u
-    real_target = oracles._integral_target
-
-    def odd_d_target(setup):
-        if setup.family != "D":
-            return real_target(setup)
-        a0, bs = z_type(setup)
-        return _hollow_key(z_diagram(a0, bs).shape, "odd")
-
-    monkeypatch.setattr(oracles, "_integral_target", odd_d_target)
+    monkeypatch.setattr(oracles, "_integral_target", _odd_d_target)
     failures = check_socular(EnumerationBudget())
     assert len(failures) == 42
     assert all("criterion says" in f and "gk attainment says" in f for f in failures)
     assert not [f for f in failures if "max GK" in f]
+
+
+def _per_weight_failures(budget, target) -> list[str]:
+    """The failure lines of ``check_socular``, from one plain loop over every setup and weight.
+
+    GK comes from the library's ``gk_dimension`` and the candidate from each
+    weight's own shape; ``target`` gives each setup's side of the criterion.
+    """
+    failures = []
+    for family in FAMILIES:
+        for setup in oracles._all_setups(family, budget.max_n):
+            dominant = [w for w in integral_weights(setup.n, budget.entry_window) if is_p_dominant(w, setup)]
+            if not dominant:
+                continue
+            gks = [gk_dimension(w, family) for w in dominant]
+            best, du = max(gks), dim_nilradical(setup)
+            if best != du:
+                failures.append(f"{setup}: max GK {best} != dim u {du}")
+                continue
+            for w, g in zip(dominant, gks):
+                verdict = _integral_candidate(rs_shape(w if family == "A" else double(w)), family) == target(setup)
+                if verdict != (g == best):
+                    failures.append(f"{setup}, weight {w}: criterion says {verdict}, gk attainment says {g == best}")
+    return failures
+
+
+def test_check_socular_names_each_disagreeing_weight_in_order(monkeypatch):
+    # the per-pair shortcut must fall back to the weights: the same lines, in the
+    # same order, as a loop that judges every weight of every setup by itself
+    budget = EnumerationBudget()
+    want = _per_weight_failures(budget, _odd_d_target)
+    monkeypatch.setattr(oracles, "_integral_target", _odd_d_target)
+    got = check_socular(budget)
+    assert len(want) == 42
+    assert got == want
 
 
 def _enumerate_b1(budget):

@@ -52,6 +52,17 @@ def test_shape_single_row():
     assert shape(((1, 2, 3, 4),)) == (4,)
 
 
+@pytest.mark.parametrize("tableau", [((1,), (1, 2)), ((1, 2), ()), ((),), ((), ()), ((1,), (), (2,))])
+def test_shape_refuses_rows_that_form_no_partition(tableau):
+    # a partition stores no zero part, so an empty row is refused like a longer lower one
+    with pytest.raises(DomainError, match="rows do not form a partition shape"):
+        shape(tableau)
+
+
+def test_shape_of_the_empty_tableau_is_the_empty_partition():
+    assert shape(()) == ()
+
+
 def test_total_cells():
     rng = random.Random(7)
     for _ in range(50):

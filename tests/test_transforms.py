@@ -102,12 +102,17 @@ def test_h_algorithm_and_its_oracle_count_the_input_once(monkeypatch):
         assert calls == [(p, parity)], (p, family)
 
 
+def _from_column_1(counts, parity):
+    """A wrong last-column rule: every row's retained boxes start in column 1."""
+    return [2 * c - 1 for c in counts]
+
+
 # (rule, wrong rule, p, family, message): each self-check of h_algorithm still fires
 WRONG_RULES = [
     ("_pair_blocked", lambda p, last, i, family: True, (2, 1, 1), "B", "moved odd boxes on (2, 1, 1) in type B"),
-    ("_first_column", lambda k, parity: 1, (4, 2), "D", "moved even boxes on (4, 2) in type D"),
+    ("_last_columns", _from_column_1, (4, 2), "D", "moved even boxes on (4, 2) in type D"),
     ("_pair_blocked", lambda p, last, i, family: False, (1, 1), "C", "rows not weakly decreasing: [0, 2]"),
-    ("_first_column", lambda k, parity: 1, (2,), "C", "total 1 != target 2 for (2,) in type C"),
+    ("_last_columns", _from_column_1, (2,), "C", "total 1 != target 2 for (2,) in type C"),
 ]
 
 
