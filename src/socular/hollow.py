@@ -3,11 +3,11 @@
 The box in row k, column l (both 1-based) is even when k+l is even and odd
 when k+l is odd.  A hollow shape keeps only the cells of one parity; it is
 fixed by its per-row counts (p^ev or p^odd), which is how the library compares
-hollow shapes.  Only :func:`hollow` builds the cells.  Every count comes from
-one kernel, :func:`_row_counts`: a plain loop, as most shapes have a few rows,
-too few to pay for building an iterator chain.  One more loop over those
-counts, :func:`_last_columns`, gives each row's last box of the parity, which
-the cells and the H-algorithm read.
+hollow shapes.  Only :func:`_cells` builds the cells, for :func:`hollow` and
+the CLI's certificate.  Every count comes from one kernel, :func:`_row_counts`:
+a plain loop, as most shapes have a few rows, too few to pay for building an
+iterator chain.  One more loop over those counts, :func:`_last_columns`, gives
+each row's last box of the parity, which the cells and the H-algorithm read.
 """
 
 from .errors import DomainError
